@@ -132,53 +132,6 @@ const std::vector<Json>& Json::as_array() const {
   return items;
 }
 
-void append_value(std::string& out, const Json& value) {
-  switch (value.kind) {
-    case Json::Kind::kNull:
-      out += "null";
-      break;
-    case Json::Kind::kBool:
-      out += value.boolean ? "true" : "false";
-      break;
-    case Json::Kind::kNumber:
-      out += value.text;  // the parsed token, verbatim.
-      break;
-    case Json::Kind::kString:
-      append_string(out, value.text);
-      break;
-    case Json::Kind::kArray: {
-      out += '[';
-      bool first = true;
-      for (const Json& item : value.items) {
-        if (!first) out += ',';
-        first = false;
-        append_value(out, item);
-      }
-      out += ']';
-      break;
-    }
-    case Json::Kind::kObject: {
-      out += '{';
-      bool first = true;
-      for (const auto& [key, field] : value.fields) {
-        if (!first) out += ',';
-        first = false;
-        append_string(out, key);
-        out += ':';
-        append_value(out, field);
-      }
-      out += '}';
-      break;
-    }
-  }
-}
-
-std::string dump(const Json& value) {
-  std::string out;
-  append_value(out, value);
-  return out;
-}
-
 namespace {
 
 class Parser {

@@ -1,6 +1,5 @@
-// Canonical-JSON building blocks shared by every paradet persistence and
-// wire surface: campaign artifacts and checkpoint journals (serialize.cc)
-// and the campaign-server wire protocol (wire_protocol.cc).
+// Canonical-JSON building blocks shared by every paradet persistence
+// surface: campaign artifacts and checkpoint journals (serialize.cc).
 //
 // "Canonical" means byte-deterministic: fixed key order is the caller's
 // job, but number formatting (shortest round-trip decimals via to_chars),
@@ -9,10 +8,8 @@
 // equivalence checks can be `cmp`, not tolerances.
 //
 // The checksummed line framing (16 lowercase-hex chars of FNV-1a 64 over
-// the payload, a space, the payload) is shared too: the checkpoint
-// journal appends one such line per completed task, and the wire protocol
-// sends one such line per frame — a journal record travels the wire
-// unchanged.
+// the payload, a space, the payload) lives here too: the checkpoint
+// journal appends one such line per completed task.
 #pragma once
 
 #include <cstdint>
@@ -61,19 +58,11 @@ struct Json {
 /// recursing the stack away. Throws std::runtime_error on any defect.
 Json parse(std::string_view text);
 
-/// Serializes a document back out. Field order and number tokens are
-/// preserved verbatim from the parse, so dump(parse(text)) == text for
-/// any canonically-written text — which is what lets a wire endpoint
-/// re-emit a received body byte-identically.
-void append_value(std::string& out, const Json& value);
-std::string dump(const Json& value);
-
 // --- Checksummed line framing ----------------------------------------------
 
 /// One framed line: 16 lowercase-hex checksum chars, a space, the
 /// payload, a newline. The FNV-1a-64 checksum covers exactly the payload
-/// bytes. This is the checkpoint-journal line format and the wire-frame
-/// payload format.
+/// bytes. This is the checkpoint-journal line format.
 std::string checksum_line(std::string_view payload);
 
 /// Parses the hex checksum prefix of a framed line; returns false on any

@@ -22,11 +22,11 @@
 //     byte-identical to the unsharded run's `--out` (the invariant CI
 //     checks with cmp).
 //
-// The spawn/monitor *mechanism* lives behind runtime/shard_launcher.h —
-// local fork/exec by default, ssh for remote hosts, a scripted mock for
-// tests — so this file owns only policy: argv construction, run-directory
-// layout, retry budgets, the straggler decision. The policy pieces are
-// pure functions exposed for unit tests.
+// orchestrate() is one blocking poll loop. The spawn/monitor *mechanism*
+// lives behind runtime/shard_launcher.h — local fork/exec, or a scripted
+// mock for tests — so this file owns only policy: argv construction,
+// run-directory layout, retry budgets, the straggler decision. The policy
+// pieces are pure functions exposed for unit tests.
 #pragma once
 
 #include <cstdint>
@@ -61,9 +61,6 @@ struct OrchestratorOptions {
   /// genuinely long work, and repeated kills would only burn its retry
   /// budget re-running it.
   double straggler_factor = 0.0;
-
-  /// Liveness poll interval.
-  unsigned poll_ms = 25;
 
   /// Fault-injection drill (CI uses it): SIGKILL this shard index once,
   /// as soon as its checkpoint shows progress (snapshot present or a
@@ -129,12 +126,13 @@ bool is_straggler(double running_seconds,
 bool checkpoint_has_progress(const std::string& checkpoint_path);
 
 /// Runs the whole orchestration: spawn, monitor/restart, merge. Throws
-/// on setup errors (unrunnable driver, uncreatable run directory);
-/// shard-level failures are reported in the result, with `merged_ok`
-/// false when any shard exhausted its retries. Progress is narrated to
-/// stderr. Shards run wherever `launcher` puts them — the overload
-/// without one uses a LocalShardLauncher (fork/exec on this host), which
-/// is the PR 4 behaviour unchanged.
+/// on setup errors (unrunnable driver, uncreatable run directory) and
+/// rethrows launcher failures, after killing and reaping every shard
+/// already started; shard-level failures are reported in the result, with
+/// `merged_ok` false when any shard exhausted its retries. Progress is
+/// narrated to stderr. Shards run wherever `launcher` puts them — the
+/// overload without one uses a LocalShardLauncher (fork/exec on this
+/// host).
 OrchestratorResult orchestrate(const std::vector<std::string>& driver_command,
                                const OrchestratorOptions& options,
                                ShardLauncher& launcher);

@@ -18,9 +18,7 @@ namespace paradet::runtime {
 namespace {
 
 // The canonical-JSON writers, document model and checksummed line framing
-// live in runtime/canonical_json.{h,cc}, shared with the campaign-server
-// wire protocol (wire_protocol.cc) — a journal record line and a wire
-// frame payload are the same bytes.
+// live in runtime/canonical_json.{h,cc}.
 using json::append_double;
 using json::append_i64;
 using json::append_string;

@@ -6,12 +6,11 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <stdexcept>
-#include <thread>
+#include <utility>
 
 #include "runtime/orchestrator.h"
 
@@ -19,17 +18,8 @@ namespace paradet::runtime {
 
 // --- Interface defaults ------------------------------------------------------
 
-bool ShardLauncher::command_is_runnable(const std::string& command) {
-  if (command.find('/') == std::string::npos) return true;
-  return ::access(command.c_str(), X_OK) == 0;
-}
-
 bool ShardLauncher::checkpoint_progress(const std::string& path) {
   return checkpoint_has_progress(path);
-}
-
-void ShardLauncher::collect(const std::vector<std::string>&) {
-  // Local launchers write artifacts in place; nothing to transfer.
 }
 
 // --- LocalShardLauncher ------------------------------------------------------
@@ -121,115 +111,6 @@ void LocalShardLauncher::reap(std::uint64_t handle) {
   } else {
     exit.exit_code = -1;
     exit.signal = 0;
-  }
-}
-
-// --- SshShardLauncher --------------------------------------------------------
-
-std::string shell_quote_command(const std::vector<std::string>& argv) {
-  std::string quoted;
-  for (const std::string& arg : argv) {
-    if (!quoted.empty()) quoted += ' ';
-    quoted += '\'';
-    for (const char c : arg) {
-      if (c == '\'') {
-        quoted += "'\\''";  // close, escaped quote, reopen.
-      } else {
-        quoted += c;
-      }
-    }
-    quoted += '\'';
-  }
-  return quoted;
-}
-
-std::vector<std::string> ssh_wrap_argv(const SshLauncherOptions& options,
-                                       const std::vector<std::string>& argv) {
-  // The shard's --out/--checkpoint/log paths are absolute run-dir paths;
-  // the remote side uses the identical layout, so the run-dir contract —
-  // and therefore checkpoint resume on relaunch — is path-for-path the
-  // same on both ends. mkdir -p first: the remote host has no
-  // orchestrator to create the run directory.
-  std::string run_dir;
-  for (const std::string& arg : argv) {
-    if (arg.rfind("--out=", 0) == 0) {
-      const std::string out = arg.substr(6);
-      const std::size_t slash = out.find_last_of('/');
-      if (slash != std::string::npos) run_dir = out.substr(0, slash);
-    }
-  }
-  std::string remote = shell_quote_command(argv);
-  if (!run_dir.empty()) {
-    remote = "mkdir -p " + shell_quote_command({run_dir}) + " && exec " +
-             remote;
-  }
-  std::vector<std::string> wrapped;
-  wrapped.push_back(options.ssh_command);
-  for (const std::string& flag : options.ssh_flags) wrapped.push_back(flag);
-  wrapped.push_back(options.host);
-  wrapped.push_back(remote);
-  return wrapped;
-}
-
-std::vector<std::string> rsync_back_argv(const SshLauncherOptions& options,
-                                         const std::string& path) {
-  return {options.rsync_command, "-a", options.host + ":" + path, path};
-}
-
-SshShardLauncher::SshShardLauncher(SshLauncherOptions options)
-    : options_(std::move(options)) {
-  if (options_.host.empty()) {
-    throw std::invalid_argument("SshShardLauncher: host is required");
-  }
-}
-
-std::uint64_t SshShardLauncher::launch(const std::vector<std::string>& argv,
-                                       const std::string& log_path) {
-  const std::uint64_t handle =
-      local_.launch(ssh_wrap_argv(options_, argv), log_path);
-  // The remote kill marker: the shard's --out path is unique per (run
-  // dir, shard), so pkill -f on it hits exactly this shard's command.
-  for (const std::string& arg : argv) {
-    if (arg.rfind("--out=", 0) == 0) kill_markers_[handle] = arg.substr(6);
-  }
-  return handle;
-}
-
-ShardExit SshShardLauncher::poll(std::uint64_t handle) {
-  return local_.poll(handle);
-}
-
-void SshShardLauncher::kill(std::uint64_t handle) {
-  // Killing the local ssh client alone can orphan the remote command
-  // (no controlling tty -> no SIGHUP). Best-effort pkill it by its
-  // unique --out marker first; the drill/straggler path tolerates the
-  // remote end surviving a lost connection — the relaunch resumes from
-  // the same checkpoint either way.
-  const auto marker = kill_markers_.find(handle);
-  if (marker != kill_markers_.end()) {
-    std::vector<std::string> pkill;
-    pkill.push_back(options_.ssh_command);
-    for (const std::string& flag : options_.ssh_flags) pkill.push_back(flag);
-    pkill.push_back(options_.host);
-    pkill.push_back("pkill -KILL -f " + shell_quote_command({marker->second}) +
-                    " || true");
-    const std::uint64_t killer = local_.launch(pkill, /*log_path=*/"");
-    local_.reap(killer);
-  }
-  local_.kill(handle);
-}
-
-void SshShardLauncher::reap(std::uint64_t handle) { local_.reap(handle); }
-
-void SshShardLauncher::collect(const std::vector<std::string>& paths) {
-  for (const std::string& path : paths) {
-    const std::uint64_t handle =
-        local_.launch(rsync_back_argv(options_, path), /*log_path=*/"");
-    local_.reap(handle);
-    if (!local_.poll(handle).clean()) {
-      throw std::runtime_error("rsync of '" + options_.host + ":" + path +
-                               "' failed");
-    }
   }
 }
 
@@ -337,7 +218,5 @@ void MockShardLauncher::reap(std::uint64_t handle) {
 bool MockShardLauncher::checkpoint_progress(const std::string&) {
   return checkpoint_progress_;
 }
-
-void MockShardLauncher::collect(const std::vector<std::string>&) {}
 
 }  // namespace paradet::runtime

@@ -1,24 +1,16 @@
 // ShardLauncher: where a shard subprocess actually runs.
 //
-// The orchestrator (runtime/orchestrator.h) and the campaign server
-// (runtime/campaign_server.h) own the *policy* of a sharded campaign —
-// argv construction, run-directory layout, retry budgets, straggler
-// kills, merging. This interface owns the *mechanism*: start this argv
-// with its output appended to that log file, tell me when it exits, kill
-// it, and make its artifacts appear at their local run-dir paths.
-// Everything above the interface is implementation-agnostic, which is
-// what lets one orchestration loop drive:
+// orchestrate() (runtime/orchestrator.h) owns the *policy* of a sharded
+// campaign — argv construction, run-directory layout, retry budgets,
+// straggler kills, merging. This interface owns the *mechanism*: start
+// this argv with its output appended to that log file, tell me when it
+// exits, kill it. It is the seam a test substitutes a fake through:
 //
-//   * LocalShardLauncher — fork/exec/waitpid on this host (the PR 4
-//     behaviour, now one implementation among several).
-//   * SshShardLauncher — the identical shard command on a remote host
-//     via ssh, with artifacts rsync'd back after a clean exit. The
-//     checkpoint/restart contract is unchanged: a relaunch lands on the
-//     same host and resumes from the shard's remote checkpoint journal.
+//   * LocalShardLauncher — fork/exec/waitpid on this host; what
+//     campaign_orchestrator runs.
 //   * MockShardLauncher — no processes at all: scripted exits, failures
 //     and hangs, so the whole spawn/retry/straggler/inject-kill loop is
-//     unit-testable in milliseconds (tests/test_orchestrator.cc,
-//     tests/test_campaign_server.cc).
+//     unit-testable in milliseconds (tests/test_orchestrator.cc).
 #pragma once
 
 #include <cstdint>
@@ -55,34 +47,19 @@ class ShardLauncher {
   virtual ShardExit poll(std::uint64_t handle) = 0;
 
   /// Hard-kill (SIGKILL or equivalent); poll() still reports the exit.
-  /// A no-op once the run has already exited.
+  /// A no-op once the run has already exited. Must not throw: it runs
+  /// while orchestrate() unwinds.
   virtual void kill(std::uint64_t handle) = 0;
 
   /// Blocks until the handle's run has exited. Used on unwind: whoever
   /// launched shards must never leave them running behind an exception.
+  /// Must not throw, like kill().
   virtual void reap(std::uint64_t handle) = 0;
 
-  /// Pre-launch sanity check on the driver command: false when the
-  /// command can be proven unrunnable before spawning anything. The
-  /// default checks X_OK for path-shaped commands on the local
-  /// filesystem (bare names are left to the child's PATH lookup); remote
-  /// and mock launchers accept everything — an unrunnable command still
-  /// surfaces as exit 127 through poll().
-  virtual bool command_is_runnable(const std::string& command);
-
-  /// True once the checkpoint at `path` shows resumable progress, as seen
-  /// from where the shard runs. The default is the local-filesystem probe
-  /// (orchestrator.h checkpoint_has_progress); SshShardLauncher inherits
-  /// it, which is correct only when the run dir is on a shared
-  /// filesystem — the inject-kill drill documents that caveat.
+  /// True once the checkpoint at `path` shows resumable progress. The
+  /// default is the filesystem probe (orchestrator.h
+  /// checkpoint_has_progress); the mock scripts it.
   virtual bool checkpoint_progress(const std::string& path);
-
-  /// After a shard's clean exit: make its artifact files present at their
-  /// local run-dir paths (no-op locally; rsync-back for ssh). Throws on
-  /// transfer failure.
-  virtual void collect(const std::vector<std::string>& paths);
-
-  virtual const char* name() const = 0;
 };
 
 // --- Local fork/exec ---------------------------------------------------------
@@ -98,7 +75,6 @@ class LocalShardLauncher : public ShardLauncher {
   ShardExit poll(std::uint64_t handle) override;
   void kill(std::uint64_t handle) override;
   void reap(std::uint64_t handle) override;
-  const char* name() const override { return "local"; }
 
  private:
   struct Proc {
@@ -108,60 +84,6 @@ class LocalShardLauncher : public ShardLauncher {
   std::uint64_t next_handle_ = 1;
   std::map<std::uint64_t, Proc> procs_;
 };
-
-// --- Remote via ssh ----------------------------------------------------------
-
-struct SshLauncherOptions {
-  /// ssh destination (`host`, `user@host`, or an ssh_config alias).
-  std::string host;
-  /// Local ssh/rsync client binaries (overridable for tests/wrappers).
-  std::string ssh_command = "ssh";
-  std::string rsync_command = "rsync";
-  /// Extra ssh client flags, e.g. {"-p", "2222", "-o", "BatchMode=yes"}.
-  std::vector<std::string> ssh_flags;
-};
-
-/// Runs the identical shard command on `host` under the same absolute
-/// run-dir paths (the remote run dir is created first), and rsyncs the
-/// artifacts back after a clean exit — so above the interface, a remote
-/// campaign is indistinguishable from a local one. kill() SIGKILLs the
-/// local ssh client and best-effort pkills the remote command (matched by
-/// its unique --out path). Relaunches land on the same host, resuming
-/// from the shard's remote checkpoint journal.
-class SshShardLauncher : public ShardLauncher {
- public:
-  explicit SshShardLauncher(SshLauncherOptions options);
-
-  std::uint64_t launch(const std::vector<std::string>& argv,
-                       const std::string& log_path) override;
-  ShardExit poll(std::uint64_t handle) override;
-  void kill(std::uint64_t handle) override;
-  void reap(std::uint64_t handle) override;
-  void collect(const std::vector<std::string>& paths) override;
-  const char* name() const override { return "ssh"; }
-
- private:
-  SshLauncherOptions options_;
-  LocalShardLauncher local_;  ///< runs the ssh/rsync client processes.
-  std::map<std::uint64_t, std::string> kill_markers_;  ///< handle → --out path.
-};
-
-/// One string safe to paste into a remote POSIX shell: each arg
-/// single-quoted (embedded quotes escaped), joined by spaces. Pure;
-/// exposed for tests.
-std::string shell_quote_command(const std::vector<std::string>& argv);
-
-/// The full local argv that runs `argv` on the remote host: the ssh
-/// client + flags + host + a remote command that creates the shard's run
-/// directory and execs the quoted driver command. Pure; exposed for
-/// tests.
-std::vector<std::string> ssh_wrap_argv(const SshLauncherOptions& options,
-                                       const std::vector<std::string>& argv);
-
-/// The local argv that copies remote `path` back to local `path`. Pure;
-/// exposed for tests.
-std::vector<std::string> rsync_back_argv(const SshLauncherOptions& options,
-                                         const std::string& path);
 
 // --- Scripted mock -----------------------------------------------------------
 
@@ -209,8 +131,6 @@ class MockShardLauncher : public ShardLauncher {
   void kill(std::uint64_t handle) override;
   void reap(std::uint64_t handle) override;
   bool checkpoint_progress(const std::string& path) override;
-  void collect(const std::vector<std::string>& paths) override;
-  const char* name() const override { return "mock"; }
 
  private:
   struct Run {

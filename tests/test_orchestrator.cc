@@ -2,7 +2,8 @@
 // straggler decision and checkpoint-progress detection — as pure unit
 // tests, plus the whole spawn/retry/straggler/inject-kill loop run
 // against a MockShardLauncher (no subprocesses, scripted exits) so
-// restart budgets and kill ordering are asserted deterministically. The
+// restart budgets, kill ordering and the kill-on-unwind guard are
+// asserted deterministically. The
 // real fork/exec machinery still runs end-to-end in the
 // `shard_cli_smoke` CTest (scripts/shard_smoke_test.sh drives
 // campaign_orchestrator with an injected shard kill and cmp-checks the
@@ -134,44 +135,6 @@ TEST(Orchestrator, SetupErrorsThrowBeforeAnythingSpawns) {
   EXPECT_THROW(orchestrate({"/no/such/driver"}, options), std::runtime_error);
 }
 
-// --- Launcher argv helpers (pure) -------------------------------------------
-
-TEST(ShardLauncher, ShellQuoteEscapesEmbeddedQuotes) {
-  EXPECT_EQ(shell_quote_command({"./driver", "--scale=0.05"}),
-            "'./driver' '--scale=0.05'");
-  // An embedded single quote closes the quote, escapes, and reopens —
-  // the one construct POSIX sh needs for arbitrary strings.
-  EXPECT_EQ(shell_quote_command({"a'b"}), "'a'\\''b'");
-}
-
-TEST(ShardLauncher, SshWrapCreatesRunDirAndExecs) {
-  SshLauncherOptions ssh;
-  ssh.host = "node7";
-  ssh.ssh_flags = {"-o", "BatchMode=yes"};
-  const std::vector<std::string> wrapped = ssh_wrap_argv(
-      ssh, {"./driver", "--out=/tmp/run/shard_0.json"});
-  ASSERT_EQ(wrapped.size(), 5u);
-  EXPECT_EQ(wrapped[0], "ssh");
-  EXPECT_EQ(wrapped[1], "-o");
-  EXPECT_EQ(wrapped[2], "BatchMode=yes");
-  EXPECT_EQ(wrapped[3], "node7");
-  // The remote command creates the run dir (no orchestrator over there
-  // to do it) and execs the identically-quoted driver argv.
-  EXPECT_EQ(wrapped[4],
-            "mkdir -p '/tmp/run' && exec "
-            "'./driver' '--out=/tmp/run/shard_0.json'");
-}
-
-TEST(ShardLauncher, RsyncBackCopiesRemoteToLocalPath) {
-  SshLauncherOptions ssh;
-  ssh.host = "node7";
-  const std::vector<std::string> argv =
-      rsync_back_argv(ssh, "/tmp/run/shard_0.json");
-  const std::vector<std::string> expected = {
-      "rsync", "-a", "node7:/tmp/run/shard_0.json", "/tmp/run/shard_0.json"};
-  EXPECT_EQ(argv, expected);
-}
-
 // --- The monitor loop against the mock launcher -----------------------------
 
 constexpr std::uint64_t kMockTasks = 6;
@@ -194,13 +157,12 @@ CampaignArtifact mock_shard_artifact(std::uint64_t index,
   return artifact;
 }
 
-/// Fresh run dir + options wired for fast mock polling.
+/// Options over a fresh run dir.
 OrchestratorOptions mock_options(const std::string& name,
                                  std::uint64_t shards) {
   OrchestratorOptions options;
   options.shards = shards;
   options.run_dir = testing::TempDir() + "/" + name;
-  options.poll_ms = 1;
   std::filesystem::remove_all(options.run_dir);
   return options;
 }
@@ -340,6 +302,56 @@ TEST(Orchestrator, InjectKillWaitsForCheckpointProgress) {
   EXPECT_EQ(mock.launches(0), 2u);
   const std::vector<std::string>& events = mock.events();
   EXPECT_EQ(std::count(events.begin(), events.end(), "kill 0"), 0);
+}
+
+/// A mock whose Nth launch fails the way a real fork() failure does.
+class FailingLaunchMock : public MockShardLauncher {
+ public:
+  explicit FailingLaunchMock(unsigned failing_launch)
+      : failing_launch_(failing_launch) {}
+
+  std::uint64_t launch(const std::vector<std::string>& argv,
+                       const std::string& log_path) override {
+    if (++launches_ == failing_launch_) {
+      throw std::runtime_error("fork failed: Resource temporarily unavailable");
+    }
+    return MockShardLauncher::launch(argv, log_path);
+  }
+
+ private:
+  unsigned failing_launch_;
+  unsigned launches_ = 0;
+};
+
+TEST(Orchestrator, LaunchFailureAtStartupKillsTheShardsAlreadyStarted) {
+  OrchestratorOptions options = mock_options("orch_mock_launch_fail", 3);
+  FailingLaunchMock mock(3);
+  // Shards 0 and 1 would run forever; shard 2 never starts.
+  mock.script(0, {{MockOutcome::Kind::kHang}});
+  mock.script(1, {{MockOutcome::Kind::kHang}});
+
+  EXPECT_THROW(orchestrate({"driver"}, options, mock), std::runtime_error);
+  const std::vector<std::string>& events = mock.events();
+  EXPECT_EQ(std::count(events.begin(), events.end(), "kill 0"), 1);
+  EXPECT_EQ(std::count(events.begin(), events.end(), "kill 1"), 1);
+  EXPECT_EQ(mock.launches(2), 0u);
+}
+
+TEST(Orchestrator, ThrowMidLoopKillsTheShardsStillRunning) {
+  OrchestratorOptions options = mock_options("orch_mock_hook_fail", 3);
+  MockShardLauncher mock;
+  mock.script(0, {{MockOutcome::Kind::kHang}});
+  mock.script(1, {{MockOutcome::Kind::kHang}});
+  // Shard 2 succeeds on its first poll, and writing its artifact throws.
+  mock.on_success([](std::uint64_t index, const std::vector<std::string>&) {
+    throw std::runtime_error("artifact write failed for shard " +
+                             std::to_string(index));
+  });
+
+  EXPECT_THROW(orchestrate({"driver"}, options, mock), std::runtime_error);
+  const std::vector<std::string>& events = mock.events();
+  EXPECT_EQ(std::count(events.begin(), events.end(), "kill 0"), 1);
+  EXPECT_EQ(std::count(events.begin(), events.end(), "kill 1"), 1);
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 // Property-based tests over randomly generated programs:
 //   P1. Architectural equivalence: the checked system computes exactly
-//       what the golden interpreter computes, and raises no detection
-//       events when no faults are injected (no false positives).
+//       what the golden interpreter computes — registers, pc and final
+//       memory — and raises no detection events when no faults are
+//       injected (no false positives).
 //   P2. No silent data corruption: under an injected register-file fault,
-//       either the error is detected or the final architectural state is
-//       bit-identical to the clean run.
+//       either the error is detected or the run is masked — registers,
+//       pc, exit trap and final-memory digest all equal the clean run's
+//       (sim::classify_fault_outcome never says kSilent).
 //   P3. Store corruption is always detected (the store-value check fires
 //       on the corrupted store itself).
 // Each property sweeps many seeds via parameterized gtest.
@@ -123,9 +125,16 @@ std::string random_program(std::uint64_t seed) {
          "data:\n";
 }
 
-/// Golden-interpreter run returning the final state.
-arch::ArchState golden_state(const isa::Assembled& assembled,
-                             std::uint64_t budget) {
+/// Final state of a golden-interpreter run.
+struct Golden {
+  arch::ArchState state;
+  /// SparseMemory::digest() of the final memory. Loaded like the
+  /// simulator loads (assembled chunks only), and the digest skips zero
+  /// pages, so it is comparable to RunResult::mem_digest.
+  std::uint64_t mem_digest = 0;
+};
+
+Golden golden_state(const isa::Assembled& assembled, std::uint64_t budget) {
   arch::SparseMemory memory;
   for (const auto& chunk : assembled.chunks) {
     memory.write_block(chunk.base, chunk.bytes);
@@ -136,7 +145,7 @@ arch::ArchState golden_state(const isa::Assembled& assembled,
   arch::ArchState state;
   state.pc = assembled.entry;
   EXPECT_EQ(machine.run(state, budget), arch::Trap::kHalt);
-  return state;
+  return {state, memory.digest()};
 }
 
 /// Finds the first store micro-op sequence number at or after `from` by
@@ -175,14 +184,16 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomPrograms, ::testing::Range<std::uint64_t>(
 TEST_P(RandomPrograms, P1_EquivalenceAndNoFalsePositives) {
   const auto assembled = isa::assemble(random_program(GetParam()));
   ASSERT_TRUE(assembled.ok) << assembled.errors[0];
-  const arch::ArchState golden = golden_state(assembled, 100000);
+  const Golden golden = golden_state(assembled, 100000);
   const sim::RunResult checked =
       sim::run_program(SystemConfig::standard(), assembled, 100000);
   EXPECT_EQ(checked.exit_trap, arch::Trap::kHalt);
   EXPECT_FALSE(checked.error_detected)
       << checked.first_error->describe();
-  EXPECT_EQ(arch::first_register_difference(checked.final_state, golden), -1);
-  EXPECT_EQ(checked.final_state.pc, golden.pc);
+  EXPECT_EQ(
+      arch::first_register_difference(checked.final_state, golden.state), -1);
+  EXPECT_EQ(checked.final_state.pc, golden.state.pc);
+  EXPECT_EQ(checked.mem_digest, golden.mem_digest);
 }
 
 TEST_P(RandomPrograms, P2_NoSilentDataCorruptionUnderRegisterFaults) {
@@ -204,15 +215,11 @@ TEST_P(RandomPrograms, P2_NoSilentDataCorruptionUnderRegisterFaults) {
     faults.add(spec);
     const sim::RunResult faulty = sim::run_program(
         SystemConfig::standard(), assembled, 100000, &faults);
-    if (!faulty.error_detected) {
-      EXPECT_EQ(arch::first_register_difference(faulty.final_state,
-                                                clean.final_state),
-                -1)
-          << "silent corruption: seed " << seed << " trial " << trial
-          << " reg " << spec.reg << " bit " << spec.bit << " seq "
-          << spec.at_seq;
-      EXPECT_EQ(faulty.final_state.pc, clean.final_state.pc);
-    }
+    EXPECT_NE(sim::classify_fault_outcome(clean, faulty),
+              sim::FaultVerdict::kSilent)
+        << "silent corruption: seed " << seed << " trial " << trial
+        << " reg " << spec.reg << " bit " << spec.bit << " seq "
+        << spec.at_seq;
   }
 }
 
@@ -245,12 +252,14 @@ TEST_P(RandomPrograms, P1b_EquivalenceHoldsUnderSmallLogs) {
   config.log.instruction_timeout = 200;
   const auto assembled = isa::assemble(random_program(GetParam()));
   ASSERT_TRUE(assembled.ok);
-  const arch::ArchState golden = golden_state(assembled, 100000);
+  const Golden golden = golden_state(assembled, 100000);
   const sim::RunResult checked =
       sim::run_program(config, assembled, 100000);
   EXPECT_FALSE(checked.error_detected)
       << checked.first_error->describe();
-  EXPECT_EQ(arch::first_register_difference(checked.final_state, golden), -1);
+  EXPECT_EQ(
+      arch::first_register_difference(checked.final_state, golden.state), -1);
+  EXPECT_EQ(checked.mem_digest, golden.mem_digest);
 }
 
 }  // namespace

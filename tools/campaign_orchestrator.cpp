@@ -2,8 +2,7 @@
 //
 //   campaign_orchestrator --shards=N [--jobs-per-shard=J] --run-dir=DIR
 //                         [--out=merged.json] [--retries=R]
-//                         [--straggler-factor=X] [--poll-ms=M]
-//                         [--inject-kill=K] [--launcher=local|ssh:HOST]
+//                         [--straggler-factor=X] [--inject-kill=K]
 //                         -- driver [driver args...]
 //
 // Spawns N subprocesses of the driver command (any bench/example that
@@ -13,21 +12,16 @@
 // retries), and merges the shard artifacts into one file byte-identical
 // to what an unsharded `--out` run writes. `--inject-kill=K` is the
 // recovery drill CI runs: SIGKILL shard K once after its checkpoint
-// shows progress, then let the restart path resume it.
-//
-// `--launcher=` picks where shards run (runtime/shard_launcher.h):
-// `local` (default) forks on this host; `ssh:HOST` runs the identical
-// command on HOST under the same absolute run-dir paths and rsyncs the
-// artifacts back before the merge.
+// shows progress, then let the restart path resume it. Shards run on
+// this host; to spread a campaign over machines, run `driver --shard=K/N
+// --out=...` on each and fold the artifacts with merge_results.
 #include <cstdio>
 #include <cstring>
 #include <exception>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "runtime/orchestrator.h"
-#include "runtime/shard_launcher.h"
 
 namespace {
 
@@ -36,13 +30,11 @@ int usage(const char* argv0, int status) {
       stderr,
       "usage: %s --shards=N [--jobs-per-shard=J] --run-dir=DIR\n"
       "          [--out=merged.json] [--retries=R] [--straggler-factor=X]\n"
-      "          [--poll-ms=M] [--inject-kill=K] [--launcher=local|ssh:HOST]\n"
-      "          -- driver [args...]\n"
+      "          [--inject-kill=K] -- driver [args...]\n"
       "Runs `driver` as N shard subprocesses with per-shard artifact and\n"
       "checkpoint paths under DIR, restarts failed or straggling shards\n"
       "from their checkpoints, and merges the artifacts (byte-identical\n"
-      "to the unsharded run's --out). --launcher=ssh:HOST runs the shards\n"
-      "on HOST (same absolute run-dir paths; artifacts rsync'd back).\n",
+      "to the unsharded run's --out).\n",
       argv0);
   return status;
 }
@@ -67,7 +59,6 @@ int main(int argc, char** argv) {
 
   runtime::OrchestratorOptions options;
   options.shards = 0;  // required; 0 marks "not given".
-  std::string launcher_spec = "local";
   std::vector<std::string> driver;
   bool saw_separator = false;
 
@@ -106,25 +97,11 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "invalid argument '%s'\n", arg);
         return usage(argv[0], 2);
       }
-    } else if (std::strncmp(arg, "--poll-ms=", 10) == 0) {
-      if (!parse_u64_flag(arg, arg + 10, 60'000, &value) || value == 0) {
-        return usage(argv[0], 2);
-      }
-      options.poll_ms = static_cast<unsigned>(value);
     } else if (std::strncmp(arg, "--inject-kill=", 14) == 0) {
       if (!parse_u64_flag(arg, arg + 14, 4095, &value)) {
         return usage(argv[0], 2);
       }
       options.inject_kill = static_cast<std::int64_t>(value);
-    } else if (std::strncmp(arg, "--launcher=", 11) == 0) {
-      launcher_spec = arg + 11;
-      if (launcher_spec != "local" &&
-          launcher_spec.rfind("ssh:", 0) != 0) {
-        std::fprintf(stderr, "invalid argument '%s' (expected local or "
-                             "ssh:HOST)\n",
-                     arg);
-        return usage(argv[0], 2);
-      }
     } else if (std::strcmp(arg, "--help") == 0) {
       return usage(argv[0], 0);
     } else {
@@ -143,16 +120,8 @@ int main(int argc, char** argv) {
   }
 
   try {
-    std::unique_ptr<runtime::ShardLauncher> launcher;
-    if (launcher_spec.rfind("ssh:", 0) == 0) {
-      runtime::SshLauncherOptions ssh;
-      ssh.host = launcher_spec.substr(4);
-      launcher = std::make_unique<runtime::SshShardLauncher>(std::move(ssh));
-    } else {
-      launcher = std::make_unique<runtime::LocalShardLauncher>();
-    }
     const runtime::OrchestratorResult result =
-        runtime::orchestrate(driver, options, *launcher);
+        runtime::orchestrate(driver, options);
     if (!result.merged_ok) {
       std::fprintf(stderr, "campaign_orchestrator: campaign failed\n");
       for (const runtime::ShardStatus& shard : result.shards) {
