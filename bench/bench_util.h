@@ -6,10 +6,12 @@
 #pragma once
 
 #include <bit>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -26,6 +28,47 @@ namespace paradet::bench {
 
 inline constexpr std::uint64_t kInstructionBudget = 4'000'000;
 
+/// --scale=X: a factor in (0, 1000] that parses fully, else exit 2. A
+/// negative, non-finite or huge factor would reach Scale::apply's
+/// float-to-integer cast, which is undefined behaviour; past 1000 every
+/// kernel outruns the instruction budget many times over anyway.
+inline double parse_scale(const char* arg) {
+  const char* text = arg + 8;
+  char* end = nullptr;
+  const double scale = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(scale) || scale <= 0 ||
+      scale > 1000) {
+    std::fprintf(stderr,
+                 "invalid argument '%s': expected --scale=X with 0 < X <= "
+                 "1000\n",
+                 arg);
+    std::exit(2);
+  }
+  return scale;
+}
+
+/// The '='-form flags RuntimeOptions::from_args parses and validates (it
+/// rejects the space forms itself). The campaign ones only get this far in
+/// campaign drivers: from_args exits 2 on them everywhere else.
+inline bool runtime_flag(const char* arg) {
+  for (const char* prefix :
+       {"--jobs=", "--checker-threads=", "--checker-batch=", "--shard=",
+        "--out=", "--checkpoint=", "--journal=", "--checkpoint-every="}) {
+    if (std::strncmp(arg, prefix, std::strlen(prefix)) == 0) return true;
+  }
+  return std::strncmp(arg, "-j", 2) == 0;  // -jN
+}
+
+/// Whether `arg` is one of `flags`: the same name up to and including the
+/// '=' of a valued flag, the whole word of a bare one.
+inline bool driver_flag(const char* arg,
+                        std::initializer_list<const char*> flags) {
+  for (const char* flag : flags) {
+    if (std::strncmp(arg, flag, std::strcspn(flag, "=") + 1) == 0) return true;
+  }
+  return false;
+}
+
 struct Options {
   double scale = 1.0;          ///< workload scale factor (--scale=X).
   std::string only;            ///< run a single benchmark (--benchmark=name).
@@ -37,17 +80,19 @@ struct Options {
 
   /// `campaign` = true for drivers that execute through
   /// Campaign::run_sharded; others reject --shard/--out/--checkpoint
-  /// (exit 2) rather than silently running unsharded. `extra_usage` is
-  /// appended to the --help line: any flag a driver parses itself must
-  /// appear there (scripts/check_flag_docs.sh fails the build on drift).
+  /// (exit 2) rather than silently running unsharded. `driver_flags` are
+  /// the flags a driver parses itself, spelled as --help shows them
+  /// (e.g. --fork=on|off): --help lists them, and any argument that is
+  /// neither one of them (matched up to its '=') nor a shared flag exits
+  /// 2, so a misspelled flag cannot silently run the defaults.
   static Options parse(int argc, char** argv, bool campaign = false,
-                       const char* extra_usage = nullptr) {
+                       std::initializer_list<const char*> driver_flags = {}) {
     Options options;
     options.runtime = RuntimeOptions::from_args(argc, argv, campaign);
     for (int i = 1; i < argc; ++i) {
       const char* arg = argv[i];
       if (std::strncmp(arg, "--scale=", 8) == 0) {
-        options.scale = std::atof(arg + 8);
+        options.scale = parse_scale(arg);
       } else if (std::strncmp(arg, "--benchmark=", 12) == 0) {
         options.only = arg + 12;
       } else if (std::strncmp(arg, "--frontend=", 11) == 0) {
@@ -61,15 +106,23 @@ struct Options {
       } else if (std::strcmp(arg, "--help") == 0) {
         std::printf("usage: %s [--scale=X] [--benchmark=name] [--jobs=N]"
                     " [--checker-threads=N]\n          [--checker-batch=N|auto]"
-                    " [--frontend=NAME]%s%s\n",
+                    " [--frontend=NAME]%s",
                     argv[0],
                     campaign ? "\n          [--shard=K/N] [--out=artifact.json]"
                                "\n          [--checkpoint=ckpt.json |"
                                " --journal=ckpt.json]"
                                " [--checkpoint-every=M]"
-                             : "",
-                    extra_usage == nullptr ? "" : extra_usage);
+                             : "");
+        if (driver_flags.size() != 0) std::printf("\n         ");
+        for (const char* flag : driver_flags) std::printf(" [%s]", flag);
+        std::printf("\n");
         std::exit(0);
+      } else if (std::strcmp(arg, "--jobs") == 0 ||
+                 std::strcmp(arg, "-j") == 0) {
+        ++i;  // the worker count that follows, checked by from_args.
+      } else if (!runtime_flag(arg) && !driver_flag(arg, driver_flags)) {
+        std::fprintf(stderr, "unknown argument '%s' (see --help)\n", arg);
+        std::exit(2);
       }
     }
     return options;

@@ -32,13 +32,18 @@ namespace {
 int run(int argc, char** argv) {
   using namespace paradet;
   auto options = bench::Options::parse(argc, argv, /*campaign=*/true,
-                                       "\n          [--fork=on|off]");
+                                       {"--fork=on|off"});
   const CheckerExec checker = options.checker_exec();
   if (options.scale == 1.0) options.scale = 0.1;  // campaign is many runs.
   bool use_fork = true;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--fork=", 7) == 0) {
-      use_fork = std::strcmp(argv[i] + 7, "off") != 0;
+      use_fork = std::strcmp(argv[i] + 7, "on") == 0;
+      if (!use_fork && std::strcmp(argv[i] + 7, "off") != 0) {
+        std::fprintf(stderr, "invalid argument '%s': expected --fork=on|off\n",
+                     argv[i]);
+        return 2;
+      }
     }
   }
   bench::print_header(

@@ -51,7 +51,12 @@ int run(int argc, char** argv) {
     if (std::strcmp(argv[i], "--jobs") == 0 || std::strcmp(argv[i], "-j") == 0) {
       ++i;  // skip the flag's value; RuntimeOptions consumes it.
     } else if (std::strncmp(argv[i], "--fork=", 7) == 0) {
-      use_fork = std::strcmp(argv[i] + 7, "off") != 0;
+      use_fork = std::strcmp(argv[i] + 7, "on") == 0;
+      if (!use_fork && std::strcmp(argv[i] + 7, "off") != 0) {
+        std::fprintf(stderr, "invalid argument '%s': expected --fork=on|off\n",
+                     argv[i]);
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--help") == 0) {
       std::printf("usage: %s [trials-per-site] [--jobs=N]"
                   " [--checker-threads=N] [--checker-batch=N|auto]"

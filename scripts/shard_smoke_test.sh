@@ -5,9 +5,10 @@
 # file to be byte-identical to the file an unsharded run writes; then run
 # the same fig09 sweep through campaign_orchestrator (3 shards, one
 # injected SIGKILL + checkpoint restart) and require *its* merged artifact
-# to be byte-identical too. Also checks the sweep drivers' usage-error
-# paths (empty --benchmark filter, --checkpoint-every without
-# --checkpoint, --checkpoint alongside --journal). Exercises the real CLI
+# to be byte-identical too. Also checks the usage-error paths (empty
+# --benchmark filter, --checkpoint-every without --checkpoint,
+# --checkpoint alongside --journal, unknown flags, malformed --scale and
+# --fork values). Exercises the real CLI
 # surface (flag parsing, artifact I/O, the merge tool, the subprocess
 # orchestrator) rather than the library entry points the unit tests
 # already cover.
@@ -125,3 +126,20 @@ if "$fig09" --checkpoint-every=4 > /dev/null 2> "$workdir/every.err"; then
   exit 1
 fi
 echo "OK: --checkpoint-every without --checkpoint fails loudly"
+
+# Unknown flags and malformed values are usage errors (exit 2) before any
+# simulation runs: a typo must never run the defaults in its place.
+expect_usage_error() {
+  local code=0
+  "$@" > /dev/null 2>&1 || code=$?
+  if [[ $code -ne 2 ]]; then
+    echo "FAIL: '$*' exited $code, want 2" >&2
+    exit 1
+  fi
+}
+expect_usage_error "$fig09" --benchmark=randacc --bogus=1
+expect_usage_error "$fig09" --benchmark=randacc --scale=abc
+expect_usage_error "$fig09" --benchmark=randacc --scale=-1
+expect_usage_error "$fig09" --benchmark=randacc --scale=inf
+expect_usage_error "$fault_campaign" 1 --fork=maybe
+echo "OK: unknown flags, a malformed --scale and --fork=maybe exit 2"

@@ -116,8 +116,8 @@ class DecodeCache {
   /// Instructions served straight from the predecoded image.
   std::uint64_t predecoded_hits() const { return predecoded_hits_; }
   /// Instructions that took the per-pc fallback path (including repeats
-  /// served from the map). perf_hotloop --verify-predecode alarms when
-  /// this is more than a sliver of the total.
+  /// served from the map). tests/test_interpreter_predecode.cc requires
+  /// zero of these on every Table II kernel loaded through load_program.
   std::uint64_t fallback_decodes() const { return fallback_decodes_; }
 
  private:

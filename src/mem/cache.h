@@ -14,7 +14,7 @@
 // only the slow paths touch. A per-set MRU-way hint short-circuits the
 // associative scan: the common hit is one predicted-way compare instead of
 // an O(assoc) walk (way_hint_hits() / hits() is the measured rate;
-// bench_perf_hotloop --verify-way-hint gates it in CI). All set/tag math
+// tests/test_caches.cc gates it suite-wide). All set/tag math
 // is shift/mask — power-of-two geometry is asserted at construction.
 #pragma once
 

@@ -155,7 +155,7 @@ class OoOCore {
   /// sorted buffer inserted by scanning back from the tail does O(1)
   /// amortised work where priority_queue pays a branchy O(log n) sift on
   /// every push and pop — this structure was the single hottest item in
-  /// the gprof profile of bench_perf_hotloop.
+  /// a gprof profile of the checked Table II suite.
   class DeadlineQueue {
    public:
     bool empty() const { return head_ == data_.size(); }

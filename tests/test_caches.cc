@@ -1,10 +1,15 @@
-// Timing tests for the memory hierarchy: caches, MSHRs, DRAM, prefetcher.
+// Timing tests for the memory hierarchy: caches, MSHRs, DRAM, prefetcher,
+// and the MRU-way hint's hit rate on the Table II suite.
 #include <gtest/gtest.h>
 
 #include "common/config.h"
 #include "mem/cache.h"
 #include "mem/dram.h"
 #include "mem/prefetcher.h"
+#include "runtime/assembly_cache.h"
+#include "sim/checked_system.h"
+#include "sim/warm_state.h"
+#include "workloads/workloads.h"
 
 namespace paradet::mem {
 namespace {
@@ -187,6 +192,36 @@ TEST(Cache, PrefetchDoesNotEvictOnPresence) {
   const auto fills_before = cache.prefetch_fills();
   cache.prefetch_line(0x1000, 50);  // already present: no-op.
   EXPECT_EQ(cache.prefetch_fills(), fills_before);
+}
+
+TEST(Cache, MruWayHintServesMostSuiteHits) {
+  // The hint only changes how a hit is found, never the result, so a
+  // lookup that stopped using it would be silently slow. Checked runs of
+  // the Table II suite are captured halfway so the main core's L1s can be
+  // read: the hint counters stay out of RunResult. The floor is suite-wide
+  // because single kernels legitimately defeat it (stream interleaves
+  // arrays that share sets: ~59%); the suite sits near 96%.
+  sim::SimJob job;
+  job.config = SystemConfig::standard();
+  job.mode = sim::SimMode::kChecked;
+  job.max_instructions = 4'000'000;
+  runtime::AssemblyCache cache;
+  std::uint64_t hits = 0;
+  std::uint64_t hint_hits = 0;
+  for (const auto& workload :
+       workloads::standard_suite(workloads::Scale{0.02})) {
+    const runtime::AssemblyCache::Image image = cache.get(workload);
+    const sim::RunResult full = sim::run_job(job, image);
+    ASSERT_GE(full.uops, 2u) << workload.name;
+    const auto warm = sim::capture_warm_state(job, image, full.uops / 2);
+    ASSERT_NE(warm, nullptr) << workload.name;
+    hits += warm->machine.l1i.hits() + warm->machine.l1d.hits();
+    hint_hits +=
+        warm->machine.l1i.way_hint_hits() + warm->machine.l1d.way_hint_hits();
+  }
+  ASSERT_GT(hits, 0u);
+  EXPECT_GE(static_cast<double>(hint_hits) / static_cast<double>(hits), 0.80)
+      << hint_hits << " of " << hits << " L1 hits came from the MRU-way hint";
 }
 
 }  // namespace

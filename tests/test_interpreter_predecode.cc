@@ -13,6 +13,7 @@
 #include "common/rng.h"
 #include "isa/assembler.h"
 #include "isa/predecode.h"
+#include "runtime/assembly_cache.h"
 #include "runtime/serialize.h"
 #include "sim/checked_system.h"
 #include "sim/uop_info.h"
@@ -237,12 +238,16 @@ TEST(PredecodedImage, OutOfImagePcFallsBackIdentically) {
 }
 
 TEST(PredecodedImage, WorkloadsPredecodeTheirWholeHotLoop) {
+  // Through the path every driver takes (AssemblyCache -> load_program ->
+  // LoadedProgram::predecoded()), so a loader that dropped the image fails
+  // here: the run would stay correct, just decode every fetch per pc.
+  runtime::AssemblyCache cache;
   const auto suite = workloads::standard_suite(workloads::Scale{0.01});
   for (const auto& workload : suite) {
-    const isa::Assembled assembled = workloads::assemble_or_die(workload);
-    ASSERT_FALSE(assembled.predecoded.empty()) << workload.name;
+    const runtime::AssemblyCache::Image assembled = cache.get(workload);
+    const sim::LoadedProgram program = sim::load_program(assembled);
     const GoldenRun run =
-        run_golden(assembled, &assembled.predecoded, 2'000'000);
+        run_golden(*assembled, &program.predecoded(), 2'000'000);
     EXPECT_EQ(run.trap, arch::Trap::kHalt) << workload.name;
     EXPECT_EQ(run.fallback_decodes, 0u) << workload.name;
     EXPECT_EQ(run.predecoded_hits, run.executed + 1) << workload.name;
