@@ -10,7 +10,7 @@
 // All eighteen simulations across the four studies are independent, so
 // they run as one flat runtime::SweepCampaign: each cell names its kernel
 // (assembled once through the runtime AssemblyCache, shared between
-// studies) and its SystemConfig, the campaign shards across processes
+// studies) and its SimJob, the campaign shards across processes
 // (--shard=K/N --out=...) and checkpoints/restarts, and the report is
 // printed from the per-cell slots afterwards — cells owned by another
 // shard print "-" and merge back via the artifact files.
@@ -77,19 +77,26 @@ int run(int argc, char** argv) {
     return kernels.size() - 1;
   };
 
-  // One cell per simulation: its config, its kernel, and (for A1) the
+  // One cell per simulation: its job, its kernel, and (for A1) the
   // deterministic post-LFU load strike.
   struct Cell {
-    SystemConfig config;
+    sim::SimJob job;
     std::size_t kernel;
     bool lfu_fault = false;
   };
   std::vector<Cell> cells;
-  const auto add_cell = [&](const SystemConfig& config, std::size_t kernel,
-                            bool lfu_fault = false) {
-    cells.push_back(Cell{config, kernel, lfu_fault});
+  const auto add_cell = [&](const SystemConfig& config, sim::SimMode mode,
+                            std::size_t kernel, bool lfu_fault = false) {
+    sim::SimJob job;
+    job.config = config;
+    job.mode = mode;
+    job.max_instructions = bench::kInstructionBudget;
+    job.checker = checker;
+    cells.push_back(Cell{job, kernel, lfu_fault});
     return cells.size() - 1;
   };
+  constexpr sim::SimMode kBaseline = sim::SimMode::kBaseline;
+  constexpr sim::SimMode kChecked = sim::SimMode::kChecked;
 
   // ---- A1: LFU coverage — a post-LFU load corruption must be caught with
   // the LFU and slips through without it (window of vulnerability).
@@ -97,41 +104,45 @@ int run(int argc, char** argv) {
   SystemConfig without_lfu = with_lfu;
   without_lfu.detection.load_forwarding_unit = false;
   const auto a1_kernel = add_kernel("randacc", 0.2 * options.scale);
-  const auto a1_protected = add_cell(with_lfu, a1_kernel, /*lfu_fault=*/true);
-  const auto a1_naive = add_cell(without_lfu, a1_kernel, /*lfu_fault=*/true);
+  const auto a1_protected =
+      add_cell(with_lfu, kChecked, a1_kernel, /*lfu_fault=*/true);
+  const auto a1_naive =
+      add_cell(without_lfu, kChecked, a1_kernel, /*lfu_fault=*/true);
 
   // ---- A2: prefetcher on/off over three kernels (baseline, no detection).
   const char* a2_kernels[] = {"stream", "facesim", "randacc"};
   std::vector<std::pair<std::size_t, std::size_t>> a2_runs;
   for (const char* name : a2_kernels) {
-    const SystemConfig on = SystemConfig::baseline_unchecked();
+    const SystemConfig on = SystemConfig::standard();
     SystemConfig off = on;
     off.l2_stride_prefetcher = false;
     const auto kernel = add_kernel(name, options.scale);
-    a2_runs.emplace_back(add_cell(on, kernel), add_cell(off, kernel));
+    a2_runs.emplace_back(add_cell(on, kBaseline, kernel),
+                         add_cell(off, kBaseline, kernel));
   }
 
   // ---- A3: store-set vs conservative memory disambiguation.
   const char* a3_kernels[] = {"randacc", "freqmine"};
   std::vector<std::pair<std::size_t, std::size_t>> a3_runs;
   for (const char* name : a3_kernels) {
-    const SystemConfig fast = SystemConfig::baseline_unchecked();
+    const SystemConfig fast = SystemConfig::standard();
     SystemConfig slow = fast;
     slow.main_core.perfect_memory_disambiguation = false;
     const auto kernel = add_kernel(name, options.scale);
-    a3_runs.emplace_back(add_cell(fast, kernel), add_cell(slow, kernel));
+    a3_runs.emplace_back(add_cell(fast, kBaseline, kernel),
+                         add_cell(slow, kBaseline, kernel));
   }
 
   // ---- A4: checkpoint latency sweep on facesim, checked vs unchecked.
   const unsigned a4_latencies[] = {0u, 8u, 16u, 32u, 64u};
   const auto a4_kernel = add_kernel("facesim", options.scale);
   const auto a4_baseline =
-      add_cell(SystemConfig::baseline_unchecked(), a4_kernel);
+      add_cell(SystemConfig::standard(), kBaseline, a4_kernel);
   std::vector<std::size_t> a4_runs;
   for (const unsigned latency : a4_latencies) {
     SystemConfig config = SystemConfig::standard();
     config.main_core.checkpoint_latency_cycles = latency;
-    a4_runs.push_back(add_cell(config, a4_kernel));
+    a4_runs.push_back(add_cell(config, kChecked, a4_kernel));
   }
 
   // Execute everything as one flat campaign, then report in study order.
@@ -146,6 +157,7 @@ int run(int argc, char** argv) {
       [&](std::size_t index, std::size_t, const runtime::AssemblyCache::Image& image,
           std::uint64_t) {
         const Cell& cell = cells[index];
+        sim::SimJob job = cell.job;
         core::FaultInjector faults;
         if (cell.lfu_fault) {
           core::FaultSpec spec;
@@ -153,10 +165,9 @@ int run(int argc, char** argv) {
           spec.at_seq = 20000;
           spec.bit = 7;
           faults.add(spec);
+          job.faults = &faults;
         }
-        return sim::run_program(cell.config, image, bench::kInstructionBudget,
-                                cell.lfu_fault ? &faults : nullptr,
-                                checker);
+        return sim::run_job(job, image);
       });
   const auto cell_result = [&](std::size_t index) {
     return result.cell_at(index);

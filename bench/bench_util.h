@@ -20,7 +20,6 @@
 #include "runtime/campaign.h"
 #include "runtime/checker_pool.h"
 #include "runtime/parallel_runner.h"
-#include "runtime/sweep_campaign.h"
 #include "sim/checked_system.h"
 #include "workloads/workloads.h"
 
@@ -47,18 +46,6 @@ inline double parse_scale(const char* arg) {
   return scale;
 }
 
-/// The '='-form flags RuntimeOptions::from_args parses and validates (it
-/// rejects the space forms itself). The campaign ones only get this far in
-/// campaign drivers: from_args exits 2 on them everywhere else.
-inline bool runtime_flag(const char* arg) {
-  for (const char* prefix :
-       {"--jobs=", "--checker-threads=", "--checker-batch=", "--shard=",
-        "--out=", "--checkpoint=", "--journal=", "--checkpoint-every="}) {
-    if (std::strncmp(arg, prefix, std::strlen(prefix)) == 0) return true;
-  }
-  return std::strncmp(arg, "-j", 2) == 0;  // -jN
-}
-
 /// Whether `arg` is one of `flags`: the same name up to and including the
 /// '=' of a valued flag, the whole word of a bare one.
 inline bool driver_flag(const char* arg,
@@ -74,8 +61,8 @@ struct Options {
   std::string only;            ///< run a single benchmark (--benchmark=name).
   RuntimeOptions runtime;      ///< --jobs/--shard/--out/--checkpoint flags.
   /// Front-end model for the main core (--frontend=NAME; sim/frontend.h).
-  /// The default (tournament) is byte-identical to the pre-FrontEnd
-  /// predictor, so default artifacts are unchanged.
+  /// Parsed and mixed into the fingerprint, but no driver applies it to
+  /// its runs yet; bench_fig_frontend_ablation sweeps the models itself.
   FrontEndKind frontend = FrontEndKind::kTournament;
 
   /// `campaign` = true for drivers that execute through
@@ -109,9 +96,7 @@ struct Options {
                     " [--frontend=NAME]%s",
                     argv[0],
                     campaign ? "\n          [--shard=K/N] [--out=artifact.json]"
-                               "\n          [--checkpoint=ckpt.json |"
-                               " --journal=ckpt.json]"
-                               " [--checkpoint-every=M]"
+                               " [--checkpoint=ckpt.json]"
                              : "");
         if (driver_flags.size() != 0) std::printf("\n         ");
         for (const char* flag : driver_flags) std::printf(" [%s]", flag);
@@ -143,7 +128,7 @@ struct Options {
 
   /// The full checker-replay execution shape for each simulated run:
   /// host-clamped worker threads plus the --checker-batch ticket size.
-  /// This is what drivers should pass into run_program/SimJob.
+  /// This is what drivers put in SimJob::checker.
   CheckerExec checker_exec() const {
     return CheckerExec(checker_threads(), runtime.checker_batch);
   }
@@ -163,13 +148,6 @@ struct Options {
       hash.mix_bytes(frontend_kind_name(frontend));
     }
     return hash.value();
-  }
-
-  /// Returns `config` with the requested --frontend applied to the main
-  /// core's predictor. A no-op at the default, preserving artifact bytes.
-  SystemConfig with_frontend(SystemConfig config) const {
-    config.branch_predictor.kind = frontend;
-    return config;
   }
 
   /// Campaign execution options from the shared CLI flags (shard slice,
@@ -236,67 +214,6 @@ inline std::vector<workloads::Workload> suite_or_fail(const Options& options) {
     std::exit(1);
   }
   return selected;
-}
-
-struct SuiteRun {
-  std::string name;
-  sim::RunResult baseline;
-  sim::RunResult result;
-  double slowdown() const {
-    return static_cast<double>(result.main_done_cycle) /
-           static_cast<double>(baseline.main_done_cycle);
-  }
-};
-
-/// Runs every workload under `config`, normalised against the unchecked
-/// baseline (same core, detection off). Implemented as a one-point
-/// SweepCampaign, so each kernel is assembled once through the runtime
-/// AssemblyCache (and shared with any other sweep in the process) and the
-/// suite fans out across `runner`'s worker pool; output order stays the
-/// suite's order regardless of scheduling.
-inline std::vector<SuiteRun> run_suite(const Options& options,
-                                       const SystemConfig& original,
-                                       const runtime::ParallelRunner& runner) {
-  // --frontend swaps the main core's direction predictor in both the
-  // checked run and its unchecked baseline (same core either way), so
-  // slowdowns stay an apples-to-apples ratio.
-  const SystemConfig config = options.with_frontend(original);
-  SystemConfig baseline_config = config;
-  baseline_config.detection.enabled = false;
-  baseline_config.detection.simulate_checkers = false;
-  const CheckerExec checker = options.checker_exec();
-  runtime::SweepCampaign sweep(1, suite(options), /*seed=*/0);
-  sweep.enable_baselines(baseline_config, kInstructionBudget);
-  const runtime::SweepResult swept = sweep.run(
-      runner, runtime::CampaignRunOptions{},
-      [&](std::size_t, std::size_t, const runtime::AssemblyCache::Image& image,
-          std::uint64_t) {
-        return sim::run_program(config, image, kInstructionBudget, nullptr,
-                                checker);
-      });
-  std::vector<SuiteRun> runs;
-  runs.reserve(swept.workload_count);
-  for (std::size_t b = 0; b < swept.workload_count; ++b) {
-    SuiteRun run;
-    run.name = swept.workload_names[b];
-    run.baseline = *swept.baseline(b);
-    run.result = *swept.cell(0, b);
-    runs.push_back(std::move(run));
-  }
-  return runs;
-}
-
-inline std::vector<SuiteRun> run_suite(const Options& options,
-                                       const SystemConfig& config) {
-  return run_suite(options, config, options.runner());
-}
-
-/// Geometric-free arithmetic mean of slowdowns (matches the paper's
-/// "average slowdown is 1.75%" phrasing).
-inline double mean_slowdown(const std::vector<SuiteRun>& runs) {
-  double sum = 0;
-  for (const auto& run : runs) sum += run.slowdown();
-  return runs.empty() ? 0.0 : sum / static_cast<double>(runs.size());
 }
 
 inline void print_header(const char* figure, const char* paper_reference) {

@@ -83,6 +83,13 @@ int run(int argc, char** argv) {
     return 1;
   }
 
+  // The job every run below simulates, fault-free or struck.
+  sim::SimJob job;
+  job.config = config;
+  job.mode = sim::SimMode::kChecked;
+  job.max_instructions = bench::kInstructionBudget;
+  job.checker = checker;
+
   // Stage 1: one clean (fault-free) reference run per kernel, in parallel,
   // with the immutable assembled images shared from the runtime cache
   // (fault tasks below reuse them instead of re-assembling).
@@ -93,20 +100,9 @@ int run(int argc, char** argv) {
   const auto references = runner.map(kernels.size(), [&](std::size_t k) {
     Reference ref;
     ref.assembled = runtime::AssemblyCache::instance().get(kernels[k]);
-    sim::LoadedProgram program = sim::load_program(*ref.assembled);
-    ref.clean = sim::CheckedSystem(config).run(program,
-                                               bench::kInstructionBudget);
+    ref.clean = sim::run_job(job, *ref.assembled);
     return ref;
   });
-
-  // The job every strike runs: SystemConfig::standard() already has
-  // detection fully on, so apply_mode(kChecked) leaves it untouched and
-  // the forked prefix simulates exactly what a full run would.
-  sim::SimJob job;
-  job.config = config;
-  job.mode = sim::SimMode::kChecked;
-  job.max_instructions = bench::kInstructionBudget;
-  job.checker = checker;
 
   // Warm-state pool: one lazily-captured prefix per (kernel, injection
   // window). Tasks race to the capture under call_once; every strike in

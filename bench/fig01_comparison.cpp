@@ -18,20 +18,23 @@ int main(int argc, char** argv) {
       "Large/Large; desired: Small/Small/Negligible");
 
   const SystemConfig config = SystemConfig::standard();
-  const SystemConfig unchecked = SystemConfig::baseline_unchecked();
+  sim::SimJob checked_job;
+  checked_job.config = config;
+  checked_job.mode = sim::SimMode::kChecked;
+  checked_job.max_instructions = bench::kInstructionBudget;
+  sim::SimJob base_job = checked_job;
+  base_job.mode = sim::SimMode::kBaseline;
 
   double lockstep_slowdown = 0, rmt_slowdown = 0, paradet_slowdown = 0;
   unsigned count = 0;
   for (const auto& workload : bench::suite_or_fail(options)) {
     const auto assembled = workloads::assemble_or_die(workload);
-    const auto base =
-        sim::run_program(unchecked, assembled, bench::kInstructionBudget);
+    const auto base = sim::run_job(base_job, assembled);
     const auto lockstep = baseline::run_lockstep(config, assembled,
                                                  bench::kInstructionBudget);
     const auto rmt =
         baseline::run_rmt(config, assembled, bench::kInstructionBudget);
-    const auto checked =
-        sim::run_program(config, assembled, bench::kInstructionBudget);
+    const auto checked = sim::run_job(checked_job, assembled);
     const double base_cycles = static_cast<double>(base.main_done_cycle);
     lockstep_slowdown += lockstep.slowdown;
     rmt_slowdown += static_cast<double>(rmt.cycles) / base_cycles;

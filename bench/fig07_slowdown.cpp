@@ -20,27 +20,23 @@ namespace {
 int run(int argc, char** argv) {
   using namespace paradet;
   const auto options = bench::Options::parse(argc, argv, /*campaign=*/true);
-  const CheckerExec checker = options.checker_exec();
   bench::print_header(
       "Figure 7: normalised slowdown per benchmark (Table I defaults)",
       "mean 1.0175, max 1.034; all benchmarks low single-digit %");
 
-  const SystemConfig checked_config = SystemConfig::standard();
-  SystemConfig baseline_config = checked_config;
-  baseline_config.detection.enabled = false;
-  baseline_config.detection.simulate_checkers = false;
+  sim::SimJob job;
+  job.config = SystemConfig::standard();
+  job.mode = sim::SimMode::kChecked;
+  job.max_instructions = bench::kInstructionBudget;
+  job.checker = options.checker_exec();
 
   runtime::SweepCampaign sweep(1, bench::suite_or_fail(options),
                                /*seed=*/0xF160007);
-  sweep.enable_baselines(baseline_config, bench::kInstructionBudget);
+  sweep.enable_baselines(job.config, bench::kInstructionBudget);
   const auto result = sweep.run(
       options.runner(), options.campaign_options(),
       [&](std::size_t, std::size_t, const runtime::AssemblyCache::Image& image,
-          std::uint64_t) {
-        return sim::run_program(checked_config, image,
-                                bench::kInstructionBudget, nullptr,
-                                checker);
-      });
+          std::uint64_t) { return sim::run_job(job, image); });
 
   std::printf("%-14s %15s %15s %9s %12s %11s\n", "benchmark",
               "baseline_cycles", "checked_cycles", "slowdown", "checkpoints",

@@ -20,21 +20,21 @@ namespace {
 int run(int argc, char** argv) {
   using namespace paradet;
   const auto options = bench::Options::parse(argc, argv, /*campaign=*/true);
-  const CheckerExec checker = options.checker_exec();
   bench::print_header(
       "Figure 8: distribution of error-detection delays (defaults)",
       "means 256-1550ns, suite mean 770ns, 99.9% < 5000ns, max <= 45us");
 
+  sim::SimJob job;
+  job.config = SystemConfig::standard();
+  job.mode = sim::SimMode::kChecked;
+  job.max_instructions = bench::kInstructionBudget;
+  job.checker = options.checker_exec();
   runtime::SweepCampaign sweep(1, bench::suite_or_fail(options),
                                /*seed=*/0xF160008);
   const auto result = sweep.run(
       options.runner(), options.campaign_options(),
       [&](std::size_t, std::size_t, const runtime::AssemblyCache::Image& image,
-          std::uint64_t) {
-        return sim::run_program(SystemConfig::standard(), image,
-                                bench::kInstructionBudget, nullptr,
-                                checker);
-      });
+          std::uint64_t) { return sim::run_job(job, image); });
 
   // Only this shard's workloads have columns; merge_results reunites them.
   const auto& artifact = result.artifact;

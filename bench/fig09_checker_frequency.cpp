@@ -22,7 +22,6 @@ namespace {
 int run(int argc, char** argv) {
   using namespace paradet;
   const auto options = bench::Options::parse(argc, argv, /*campaign=*/true);
-  const CheckerExec checker = options.checker_exec();
   bench::print_header(
       "Figure 9: slowdown vs checker-core frequency (12 cores)",
       "125MHz: up to ~4.5x for compute-bound, ~1x for memory-bound; "
@@ -30,22 +29,23 @@ int run(int argc, char** argv) {
 
   const std::uint64_t freqs_mhz[] = {125, 250, 500, 1000, 2000};
 
+  sim::SimJob job;
+  job.config = SystemConfig::standard();
+  job.mode = sim::SimMode::kChecked;
+  job.max_instructions = bench::kInstructionBudget;
+  job.checker = options.checker_exec();
   runtime::SweepCampaign sweep(std::size(freqs_mhz),
                                bench::suite_or_fail(options),
                                /*seed=*/0xF160009);
-  SystemConfig baseline = SystemConfig::standard();
-  baseline.detection.enabled = false;
-  baseline.detection.simulate_checkers = false;
-  sweep.enable_baselines(baseline, bench::kInstructionBudget);
+  sweep.enable_baselines(job.config, bench::kInstructionBudget);
 
   const auto result = sweep.run(
       options.runner(), options.campaign_options(),
       [&](std::size_t point, std::size_t, const runtime::AssemblyCache::Image& image,
           std::uint64_t) {
-        SystemConfig config = SystemConfig::standard();
-        config.checker.freq_mhz = freqs_mhz[point];
-        return sim::run_program(config, image, bench::kInstructionBudget,
-                                nullptr, checker);
+        sim::SimJob cell = job;
+        cell.config.checker.freq_mhz = freqs_mhz[point];
+        return sim::run_job(cell, image);
       });
 
   runtime::TableSpec spec;

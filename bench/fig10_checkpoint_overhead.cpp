@@ -19,7 +19,6 @@ namespace {
 int run(int argc, char** argv) {
   using namespace paradet;
   const auto options = bench::Options::parse(argc, argv, /*campaign=*/true);
-  const CheckerExec checker = options.checker_exec();
   bench::print_header(
       "Figure 10: checkpoint-only slowdown vs log size / timeout",
       "3.6KiB/500: up to ~1.15; 36KiB/5000: <= ~1.02; 360KiB/50000 and "
@@ -37,23 +36,23 @@ int run(int argc, char** argv) {
       {"360KiB/inf", 360 * 1024, 0},
   };
 
+  sim::SimJob job;
+  job.config = SystemConfig::standard();
+  job.mode = sim::SimMode::kCheckpointOnly;  // checkpoint cost only.
+  job.max_instructions = bench::kInstructionBudget;
+  job.checker = options.checker_exec();
   runtime::SweepCampaign sweep(std::size(points), bench::suite_or_fail(options),
                                /*seed=*/0xF160010);
-  SystemConfig baseline = SystemConfig::standard();
-  baseline.detection.enabled = false;
-  baseline.detection.simulate_checkers = false;
-  sweep.enable_baselines(baseline, bench::kInstructionBudget);
+  sweep.enable_baselines(job.config, bench::kInstructionBudget);
 
   const auto result = sweep.run(
       options.runner(), options.campaign_options(),
       [&](std::size_t point, std::size_t, const runtime::AssemblyCache::Image& image,
           std::uint64_t) {
-        SystemConfig config = SystemConfig::standard();
-        config.detection.simulate_checkers = false;  // checkpoint cost only.
-        config.log.total_bytes = points[point].log_bytes;
-        config.log.instruction_timeout = points[point].timeout;
-        return sim::run_program(config, image, bench::kInstructionBudget,
-                                nullptr, checker);
+        sim::SimJob cell = job;
+        cell.config.log.total_bytes = points[point].log_bytes;
+        cell.config.log.instruction_timeout = points[point].timeout;
+        return sim::run_job(cell, image);
       });
 
   runtime::TableSpec spec;

@@ -20,13 +20,17 @@ namespace {
 int run(int argc, char** argv) {
   using namespace paradet;
   const auto options = bench::Options::parse(argc, argv, /*campaign=*/true);
-  const CheckerExec checker = options.checker_exec();
   bench::print_header(
       "Figure 11: detection delay vs checker frequency (12 cores)",
       "(a) mean ns halves per doubling, flattening at high freq; "
       "(b) max us less deterministic");
 
   const std::uint64_t freqs_mhz[] = {125, 250, 500, 1000, 2000};
+  sim::SimJob job;
+  job.config = SystemConfig::standard();
+  job.mode = sim::SimMode::kChecked;
+  job.max_instructions = bench::kInstructionBudget;
+  job.checker = options.checker_exec();
   runtime::SweepCampaign sweep(std::size(freqs_mhz),
                                bench::suite_or_fail(options),
                                /*seed=*/0xF160011);
@@ -34,10 +38,9 @@ int run(int argc, char** argv) {
       options.runner(), options.campaign_options(),
       [&](std::size_t point, std::size_t, const runtime::AssemblyCache::Image& image,
           std::uint64_t) {
-        SystemConfig config = SystemConfig::standard();
-        config.checker.freq_mhz = freqs_mhz[point];
-        return sim::run_program(config, image, bench::kInstructionBudget,
-                                nullptr, checker);
+        sim::SimJob cell = job;
+        cell.config.checker.freq_mhz = freqs_mhz[point];
+        return sim::run_job(cell, image);
       });
 
   runtime::TableSpec spec;

@@ -19,7 +19,6 @@ namespace {
 int run(int argc, char** argv) {
   using namespace paradet;
   const auto options = bench::Options::parse(argc, argv, /*campaign=*/true);
-  const CheckerExec checker = options.checker_exec();
   bench::print_header(
       "Figure 12: detection delay vs log size / instruction timeout",
       "(a) mean scales ~linearly with log size; (b) infinite timeouts let "
@@ -38,6 +37,12 @@ int run(int argc, char** argv) {
       {"36KiB/inf", 36 * 1024, 0},
   };
 
+  sim::SimJob job;
+  job.config = SystemConfig::standard();
+  job.mode = sim::SimMode::kChecked;
+  job.max_instructions = bench::kInstructionBudget;
+  job.checker = options.checker_exec();
+
   // The delay histogram tops out at 5us for figure 8; maxima here reach
   // ms, which Summary tracks exactly regardless of binning.
   runtime::SweepCampaign sweep(std::size(points), bench::suite_or_fail(options),
@@ -46,11 +51,10 @@ int run(int argc, char** argv) {
       options.runner(), options.campaign_options(),
       [&](std::size_t point, std::size_t, const runtime::AssemblyCache::Image& image,
           std::uint64_t) {
-        SystemConfig config = SystemConfig::standard();
-        config.log.total_bytes = points[point].log_bytes;
-        config.log.instruction_timeout = points[point].timeout;
-        return sim::run_program(config, image, bench::kInstructionBudget,
-                                nullptr, checker);
+        sim::SimJob cell = job;
+        cell.config.log.total_bytes = points[point].log_bytes;
+        cell.config.log.instruction_timeout = points[point].timeout;
+        return sim::run_job(cell, image);
       });
 
   runtime::TableSpec spec;

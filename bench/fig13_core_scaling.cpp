@@ -22,7 +22,6 @@ namespace {
 int run(int argc, char** argv) {
   using namespace paradet;
   const auto options = bench::Options::parse(argc, argv, /*campaign=*/true);
-  const CheckerExec checker = options.checker_exec();
   bench::print_header(
       "Figure 13: slowdown vs checker core count x frequency",
       "3c@1GHz ~ 6@500MHz-class behaviour; 12 slow cores beat 3-6 fast "
@@ -39,22 +38,25 @@ int run(int argc, char** argv) {
       {"12c@1GHz", 12, 1000},
   };
 
+  sim::SimJob job;
+  job.config = SystemConfig::standard();
+  job.mode = sim::SimMode::kChecked;
+  job.max_instructions = bench::kInstructionBudget;
+  job.checker = options.checker_exec();
   runtime::SweepCampaign sweep(std::size(points), bench::suite_or_fail(options),
                                /*seed=*/0xF160013);
-  sweep.enable_baselines(SystemConfig::baseline_unchecked(),
-                         bench::kInstructionBudget);
+  sweep.enable_baselines(job.config, bench::kInstructionBudget);
   const auto result = sweep.run(
       options.runner(), options.campaign_options(),
       [&](std::size_t point, std::size_t, const runtime::AssemblyCache::Image& image,
           std::uint64_t) {
-        SystemConfig config = SystemConfig::standard();
-        config.checker.num_cores = points[point].cores;
-        config.checker.freq_mhz = points[point].freq_mhz;
+        sim::SimJob cell = job;
+        cell.config.checker.num_cores = points[point].cores;
+        cell.config.checker.freq_mhz = points[point].freq_mhz;
         // One-to-one mapping: the log is partitioned per checker core; the
         // total log SRAM stays fixed as in the paper's sweep.
-        config.log.segments = points[point].cores;
-        return sim::run_program(config, image, bench::kInstructionBudget,
-                                nullptr, checker);
+        cell.config.log.segments = points[point].cores;
+        return sim::run_job(cell, image);
       });
 
   runtime::TableSpec spec;

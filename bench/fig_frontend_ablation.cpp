@@ -34,7 +34,6 @@ struct Variant {
 int run(int argc, char** argv) {
   using namespace paradet;
   const auto options = bench::Options::parse(argc, argv, /*campaign=*/true);
-  const CheckerExec checker = options.checker_exec();
   bench::print_header(
       "Front-end ablation: slowdown vs main-core predictor model",
       "not in paper; tournament column must match Table II/fig07 slowdowns");
@@ -47,24 +46,25 @@ int run(int argc, char** argv) {
       {"tourn+ckr-fe", FrontEndKind::kTournament, true},
   };
 
+  sim::SimJob job;
+  job.config = SystemConfig::standard();
+  job.mode = sim::SimMode::kChecked;
+  job.max_instructions = bench::kInstructionBudget;
+  job.checker = options.checker_exec();
   runtime::SweepCampaign sweep(std::size(variants),
                                bench::suite_or_fail(options),
                                /*seed=*/0xF8A8'1A71);
-  SystemConfig baseline = SystemConfig::standard();
-  baseline.detection.enabled = false;
-  baseline.detection.simulate_checkers = false;
-  sweep.enable_baselines(baseline, bench::kInstructionBudget);
+  sweep.enable_baselines(job.config, bench::kInstructionBudget);
 
   const auto result = sweep.run(
       options.runner(), options.campaign_options(),
       [&](std::size_t point, std::size_t,
           const runtime::AssemblyCache::Image& image, std::uint64_t) {
-        SystemConfig config = SystemConfig::standard();
-        config.branch_predictor.kind = variants[point].kind;
-        config.checker.model_frontend =
+        sim::SimJob cell = job;
+        cell.config.branch_predictor.kind = variants[point].kind;
+        cell.config.checker.model_frontend =
             variants[point].checker_model_frontend;
-        return sim::run_program(config, image, bench::kInstructionBudget,
-                                nullptr, checker);
+        return sim::run_job(cell, image);
       });
 
   runtime::TableSpec spec;

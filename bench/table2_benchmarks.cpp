@@ -14,11 +14,13 @@ int main(int argc, char** argv) {
 
   std::printf("%-14s %12s %8s %9s  %s\n", "benchmark", "instructions", "ipc",
               "mem-frac", "description");
-  const SystemConfig base = SystemConfig::baseline_unchecked();
+  sim::SimJob base;
+  base.config = SystemConfig::standard();
+  base.mode = sim::SimMode::kBaseline;
+  base.max_instructions = bench::kInstructionBudget;
   for (const auto& workload : bench::suite_or_fail(options)) {
     const auto assembled = workloads::assemble_or_die(workload);
-    const auto run =
-        sim::run_program(base, assembled, bench::kInstructionBudget);
+    const auto run = sim::run_job(base, assembled);
     const double mem_fraction =
         static_cast<double>(run.counters.get("l1d.hits") +
                             run.counters.get("l1d.misses")) /

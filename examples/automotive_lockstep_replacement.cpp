@@ -39,9 +39,13 @@ int main() {
               100.0 * lockstep.power_overhead);
 
   // --- Option 2: parallel heterogeneous checking.
-  const auto base = sim::run_program(SystemConfig::baseline_unchecked(),
-                                     assembled, 2'000'000);
-  const auto checked = sim::run_program(config, assembled, 2'000'000);
+  sim::SimJob job;
+  job.config = config;
+  job.mode = sim::SimMode::kBaseline;
+  job.max_instructions = 2'000'000;
+  const auto base = sim::run_job(job, assembled);
+  job.mode = sim::SimMode::kChecked;
+  const auto checked = sim::run_job(job, assembled);
   const auto area = model::estimate_area(config);
   const auto power = model::estimate_power(config);
   const double slowdown = static_cast<double>(checked.main_done_cycle) /
@@ -73,7 +77,8 @@ int main() {
   strike.reg = 6;  // t1 -- live pointer in the kernel's inner loop.
   strike.bit = 4;
   faults.add(strike);
-  const auto faulty = sim::run_program(config, assembled, 2'000'000, &faults);
+  job.faults = &faults;
+  const auto faulty = sim::run_job(job, assembled);
   std::printf("after a transient strike at uop 300000:\n");
   if (faulty.first_error.has_value()) {
     std::printf("  detected            : yes\n");

@@ -12,6 +12,7 @@
 // back with merge_results) and checkpoints/restarts
 // (`--checkpoint=ckpt.json`) exactly like the figure reproductions.
 #include <cstdio>
+#include <cstring>
 #include <exception>
 #include <vector>
 
@@ -33,6 +34,23 @@ struct SweepSpec {
 
 int run(int argc, char** argv) {
   using namespace paradet;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--jobs") == 0 ||
+        std::strcmp(argv[i], "-j") == 0) {
+      ++i;  // skip the flag's value; RuntimeOptions consumes it.
+    } else if (std::strcmp(argv[i], "--help") == 0) {
+      std::printf("usage: %s [--jobs=N] [--checker-threads=N]"
+                  " [--checker-batch=N|auto]\n"
+                  "          [--shard=K/N] [--out=artifact.json]"
+                  " [--checkpoint=ckpt.json]\n",
+                  argv[0]);
+      return 0;
+    } else if (!runtime_flag(argv[i])) {
+      // A misspelled or removed flag must not silently run the defaults.
+      std::fprintf(stderr, "unknown argument '%s' (see --help)\n", argv[i]);
+      return 2;
+    }
+  }
   const RuntimeOptions host =
       RuntimeOptions::from_args(argc, argv, /*campaign_flags=*/true);
   const runtime::ParallelRunner runner(host.jobs);
@@ -65,13 +83,17 @@ int run(int argc, char** argv) {
   };
 
   runtime::SweepCampaign sweep(specs.size(), {workload}, /*seed=*/0xDE5160);
-  sweep.enable_baselines(SystemConfig::baseline_unchecked(), kBudget);
+  sweep.enable_baselines(SystemConfig::standard(), kBudget);
   const auto result = sweep.run(
       runner, runtime::CampaignRunOptions::from_runtime(host),
       [&](std::size_t point, std::size_t, const runtime::AssemblyCache::Image& image,
           std::uint64_t) {
-        return sim::run_program(config_for(point), image, kBudget,
-                                nullptr, checker);
+        sim::SimJob job;
+        job.config = config_for(point);
+        job.mode = sim::SimMode::kChecked;
+        job.max_instructions = kBudget;
+        job.checker = checker;
+        return sim::run_job(job, image);
       });
 
   const sim::RunResult* baseline = result.baseline(0);

@@ -61,12 +61,18 @@ int run(int argc, char** argv) {
       std::printf("usage: %s [trials-per-site] [--jobs=N]"
                   " [--checker-threads=N] [--checker-batch=N|auto]"
                   " [--fork=on|off]\n"
-                  "          [--shard=K/N] [--out=artifact.json]\n"
-                  "          [--checkpoint=ckpt.json | --journal=ckpt.json]"
-                  " [--checkpoint-every=M]\n",
+                  "          [--shard=K/N] [--out=artifact.json]"
+                  " [--checkpoint=ckpt.json]\n",
                   argv[0]);
       return 0;
-    } else if (argv[i][0] != '-') {
+    } else if (argv[i][0] == '-') {
+      // A misspelled or removed flag must not silently run the defaults.
+      if (!runtime_flag(argv[i])) {
+        std::fprintf(stderr, "unknown argument '%s' (see --help)\n",
+                     argv[i]);
+        return 2;
+      }
+    } else {
       // The positional argument is the per-site trial count; anything
       // non-numeric here is a mistyped flag, not a count of zero.
       char* end = nullptr;
@@ -91,7 +97,14 @@ int run(int argc, char** argv) {
   const auto workload =
       workloads::make_freqmine(workloads::Scale{.factor = 0.08});
   const auto assembled = workloads::assemble_or_die(workload);
-  const auto clean = sim::run_program(config, assembled, 500'000);
+
+  // The job every run below simulates, fault-free or struck.
+  sim::SimJob job;
+  job.config = config;
+  job.mode = sim::SimMode::kChecked;
+  job.max_instructions = 500'000;
+  job.checker = checker;
+  const auto clean = sim::run_job(job, assembled);
   std::printf("workload %s: %llu instructions, %llu uops, clean run ok "
               "(%u workers, fork %s)\n\n",
               workload.name.c_str(),
@@ -110,15 +123,6 @@ int run(int argc, char** argv) {
       {core::FaultSite::kCheckerArchReg, "checker core (over-detection)"},
   };
   const std::size_t num_sites = std::size(sites);
-
-  // The job every strike runs. SystemConfig::standard() already has
-  // detection on, so the kChecked mode application is the identity and
-  // forked prefixes simulate exactly what run_program above did.
-  sim::SimJob job;
-  job.config = config;
-  job.mode = sim::SimMode::kChecked;
-  job.max_instructions = 500'000;
-  job.checker = checker;
 
   // One warm state per injection window, captured lazily by whichever
   // strike gets there first; later strikes in the window fork it.

@@ -51,8 +51,11 @@ int main() {
   }
 
   // 2. Fault-free run on the standard checked system (Table I).
-  SystemConfig config = SystemConfig::standard();
-  sim::RunResult clean = sim::run_program(config, assembled, 1'000'000);
+  sim::SimJob job;
+  job.config = SystemConfig::standard();
+  job.mode = sim::SimMode::kChecked;
+  job.max_instructions = 1'000'000;
+  sim::RunResult clean = sim::run_job(job, assembled);
   std::printf("fault-free run:\n");
   std::printf("  instructions   : %llu\n",
               static_cast<unsigned long long>(clean.instructions));
@@ -67,10 +70,10 @@ int main() {
   std::printf("  error detected : %s\n\n",
               clean.error_detected ? "YES (bug!)" : "no");
 
-  // 3. Unchecked baseline for the slowdown.
-  sim::RunResult baseline =
-      sim::run_program(SystemConfig::baseline_unchecked(), assembled,
-                       1'000'000);
+  // 3. Unchecked baseline for the slowdown: same machine, detection off.
+  sim::SimJob unchecked = job;
+  unchecked.mode = sim::SimMode::kBaseline;
+  sim::RunResult baseline = sim::run_job(unchecked, assembled);
   std::printf("slowdown vs unchecked baseline: %.4fx\n\n",
               static_cast<double>(clean.main_done_cycle) /
                   static_cast<double>(baseline.main_done_cycle));
@@ -86,8 +89,8 @@ int main() {
   flip.bit = 17;
   faults.add(flip);
 
-  sim::RunResult faulty = sim::run_program(config, assembled, 1'000'000,
-                                           &faults);
+  job.faults = &faults;
+  sim::RunResult faulty = sim::run_job(job, assembled);
   std::printf("after injecting a bit flip in t1 at uop 20000:\n");
   std::printf("  error detected : %s\n", faulty.error_detected ? "yes" : "NO");
   if (faulty.first_error.has_value()) {

@@ -70,9 +70,11 @@ for src in "$repo"/bench/*.cpp; do
   check_binary "bench_$name" "$exempt" "${sources[@]}"
 done
 
-# example_fault_campaign parses RuntimeOptions campaign flags directly.
+# The campaign examples parse RuntimeOptions campaign flags directly.
 check_binary example_fault_campaign "" "$repo/examples/fault_campaign.cpp" \
     "$repo/src/common/config.cc"
+check_binary example_explore_design_space "" \
+    "$repo/examples/explore_design_space.cpp" "$repo/src/common/config.cc"
 
 for src in "$repo"/tools/*.cpp; do
   check_binary "$(basename "$src" .cpp)" "" "$src"

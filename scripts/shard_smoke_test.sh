@@ -5,13 +5,14 @@
 # file to be byte-identical to the file an unsharded run writes; then run
 # the same fig09 sweep through campaign_orchestrator (3 shards, one
 # injected SIGKILL + checkpoint restart) and require *its* merged artifact
-# to be byte-identical too. Also checks the usage-error paths (empty
-# --benchmark filter, --checkpoint-every without --checkpoint,
-# --checkpoint alongside --journal, unknown flags, malformed --scale and
-# --fork values). Exercises the real CLI
-# surface (flag parsing, artifact I/O, the merge tool, the subprocess
-# orchestrator) rather than the library entry points the unit tests
-# already cover.
+# to be byte-identical too, with exactly one checkpoint file per shard.
+# Also checks that a re-run on a finished checkpoint rewrites identical
+# bytes, that a checkpoint path naming a non-journal file fails without
+# touching it, and the usage-error paths (empty --benchmark filter,
+# unknown and removed flags, malformed --scale and --fork values).
+# Exercises the real CLI surface (flag parsing, artifact I/O, the merge
+# tool, the subprocess orchestrator) rather than the library entry points
+# the unit tests already cover.
 set -euo pipefail
 
 if [[ $# -ne 4 ]]; then
@@ -72,7 +73,7 @@ echo "OK: 2-shard fig09 sweep merge is byte-identical to the unsharded artifact"
 # unsharded artifact byte for byte.
 "$orchestrator" --shards=3 --jobs-per-shard=2 --run-dir="$workdir/orch" \
     --inject-kill=1 --out="$workdir/orch_merged.json" \
-    -- "$fig09" "${fig09_flags[@]}" --checkpoint-every=1 \
+    -- "$fig09" "${fig09_flags[@]}" \
     > "$workdir/orch.out" 2> "$workdir/orch.log"
 
 if ! cmp "$workdir/orch_merged.json" "$workdir/fig09_whole.json"; then
@@ -91,22 +92,43 @@ fi
 echo "OK: orchestrator (3 shards, injected kill + restart) merge is" \
      "byte-identical to the unsharded artifact"
 
-# --journal is the same checkpoint mechanism under another name: a run
-# journaled under --journal resumes and completes like any checkpoint.
-"$fig09" "${fig09_flags[@]}" --journal="$workdir/fig09_j.ckpt.json" \
-    --out="$workdir/fig09_j.json" > /dev/null
-if ! cmp "$workdir/fig09_j.json" "$workdir/fig09_whole.json"; then
-  echo "FAIL: --journal run artifact differs from the plain run" >&2
-  exit 1
-fi
-echo "OK: --journal alias produces the identical artifact"
+# A checkpoint is one file: each shard leaves its journal and nothing
+# beside it.
+for k in 0 1 2; do
+  found=("$workdir/orch/shard_$k".ckpt*)
+  if [[ "${found[*]}" != "$workdir/orch/shard_$k.ckpt.json" ]]; then
+    echo "FAIL: shard $k left checkpoint files: ${found[*]}" >&2
+    exit 1
+  fi
+done
+echo "OK: every shard has exactly one checkpoint file"
 
-# Both spellings at once is ambiguous and must exit 2.
-if "$fig09" --checkpoint=a.json --journal=b.json > /dev/null 2>&1; then
-  echo "FAIL: --checkpoint alongside --journal exited 0" >&2
+# A finished checkpoint re-runs nothing and rewrites the identical --out.
+"$fig09" "${fig09_flags[@]}" --checkpoint="$workdir/fig09.ckpt.json" \
+    > /dev/null
+"$fig09" "${fig09_flags[@]}" --checkpoint="$workdir/fig09.ckpt.json" \
+    --out="$workdir/fig09_rerun.json" > /dev/null
+if ! cmp "$workdir/fig09_rerun.json" "$workdir/fig09_whole.json"; then
+  echo "FAIL: re-run on a finished checkpoint wrote different bytes" >&2
   exit 1
 fi
-echo "OK: --checkpoint alongside --journal fails loudly"
+echo "OK: re-running on a finished checkpoint rewrites the identical artifact"
+
+# A checkpoint path naming a file that is not a journal (here the run's
+# own --out artifact) fails with exit 1 and leaves the file untouched.
+cp "$workdir/fig09_whole.json" "$workdir/fig09_pristine.json"
+code=0
+"$fig09" "${fig09_flags[@]}" --checkpoint="$workdir/fig09_whole.json" \
+    --out="$workdir/fig09_whole.json" > /dev/null 2>&1 || code=$?
+if [[ $code -ne 1 ]]; then
+  echo "FAIL: --checkpoint naming an artifact exited $code, want 1" >&2
+  exit 1
+fi
+if ! cmp "$workdir/fig09_whole.json" "$workdir/fig09_pristine.json"; then
+  echo "FAIL: --checkpoint naming an artifact modified it" >&2
+  exit 1
+fi
+echo "OK: a non-journal checkpoint file is refused and left untouched"
 
 # An over-narrow filter must be a loud error (exit 1 + diagnostic), not an
 # empty table with exit 0.
@@ -119,13 +141,6 @@ if ! grep -q "matches no" "$workdir/empty.err"; then
   exit 1
 fi
 echo "OK: empty --benchmark filter fails loudly"
-
-# --checkpoint-every without --checkpoint is a usage error (exit 2).
-if "$fig09" --checkpoint-every=4 > /dev/null 2> "$workdir/every.err"; then
-  echo "FAIL: --checkpoint-every without --checkpoint exited 0" >&2
-  exit 1
-fi
-echo "OK: --checkpoint-every without --checkpoint fails loudly"
 
 # Unknown flags and malformed values are usage errors (exit 2) before any
 # simulation runs: a typo must never run the defaults in its place.
@@ -142,4 +157,10 @@ expect_usage_error "$fig09" --benchmark=randacc --scale=abc
 expect_usage_error "$fig09" --benchmark=randacc --scale=-1
 expect_usage_error "$fig09" --benchmark=randacc --scale=inf
 expect_usage_error "$fault_campaign" 1 --fork=maybe
-echo "OK: unknown flags, a malformed --scale and --fork=maybe exit 2"
+# --journal and --checkpoint-every are not flags: like any unknown flag
+# they exit 2, in every driver.
+expect_usage_error "$fig09" --benchmark=randacc --journal=x
+expect_usage_error "$fig09" --benchmark=randacc --checkpoint-every=4
+expect_usage_error "$fault_campaign" 1 --checkpoint-every=4
+echo "OK: unknown and removed flags, a malformed --scale and --fork=maybe" \
+     "exit 2"

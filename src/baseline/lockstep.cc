@@ -6,11 +6,13 @@ LockstepResult run_lockstep(const SystemConfig& config,
                             const isa::Assembled& assembled,
                             std::uint64_t max_instructions,
                             const LockstepConfig& lockstep) {
-  SystemConfig unprotected = config;
-  unprotected.detection.enabled = false;
+  sim::SimJob unprotected;
+  unprotected.config = config;
+  unprotected.mode = sim::SimMode::kBaseline;
+  unprotected.max_instructions = max_instructions;
 
   LockstepResult result;
-  result.run = sim::run_program(unprotected, assembled, max_instructions);
+  result.run = sim::run_job(unprotected, assembled);
   result.cycles = result.run.main_done_cycle;
   // Lockstep does not contend with the leading core for any resource; the
   // slowdown is the (negligible) comparator back-pressure, modelled as

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 
 namespace paradet {
 
@@ -76,16 +77,11 @@ bool BranchPredictorConfig::valid_table_sizes() const {
 RuntimeOptions RuntimeOptions::from_args(int argc, char** argv,
                                          bool campaign_flags) {
   RuntimeOptions options;
-  const char* checkpoint_every_flag = nullptr;
-  const char* checkpoint_flag = nullptr;
-  const char* journal_flag = nullptr;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (!campaign_flags && (std::strncmp(arg, "--shard", 7) == 0 ||
                             std::strncmp(arg, "--out", 5) == 0 ||
-                            std::strncmp(arg, "--checkpoint", 12) == 0 ||
-                            std::strncmp(arg, "--journal=", 10) == 0 ||
-                            std::strcmp(arg, "--journal") == 0)) {
+                            std::strncmp(arg, "--checkpoint", 12) == 0)) {
       std::fprintf(stderr,
                    "'%s' is not supported by this driver (it does not run as "
                    "a shardable campaign)\n",
@@ -116,12 +112,6 @@ RuntimeOptions RuntimeOptions::from_args(int argc, char** argv,
       options.out_path = arg + 6;
     } else if (std::strncmp(arg, "--checkpoint=", 13) == 0) {
       options.checkpoint_path = arg + 13;
-      checkpoint_flag = arg;
-    } else if (std::strncmp(arg, "--journal=", 10) == 0) {
-      // Alias: the checkpoint mechanism *is* the append-only journal
-      // (+ compacted snapshot); both spellings name the same files.
-      options.checkpoint_path = arg + 10;
-      journal_flag = arg;
     } else if (std::strncmp(arg, "--checker-threads=", 18) == 0) {
       const char* text = arg + 18;
       char* end = nullptr;
@@ -145,41 +135,26 @@ RuntimeOptions RuntimeOptions::from_args(int argc, char** argv,
         }
         options.checker_batch = static_cast<unsigned>(value);
       }
-    } else if (std::strncmp(arg, "--checkpoint-every=", 19) == 0) {
-      char* end = nullptr;
-      const unsigned long long every = parse_u64(arg + 19, &end);
-      if (end == arg + 19 || *end != '\0' || every == 0) {
-        bad_flag(arg, "--checkpoint-every=M with M >= 1");
-      }
-      options.checkpoint_every = every;
-      checkpoint_every_flag = arg;
     } else if (std::strcmp(arg, "--shard") == 0 ||
                std::strcmp(arg, "--out") == 0 ||
                std::strcmp(arg, "--checkpoint") == 0 ||
-               std::strcmp(arg, "--journal") == 0 ||
                std::strcmp(arg, "--checker-threads") == 0 ||
-               std::strcmp(arg, "--checker-batch") == 0 ||
-               std::strcmp(arg, "--checkpoint-every") == 0) {
+               std::strcmp(arg, "--checker-batch") == 0) {
       // Only the '=' forms exist; swallowing e.g. `--shard 0/2` would let
       // the next driver's positional parsing misread "0/2".
       bad_flag(arg, "the --flag=value form");
     }
   }
-  // Two spellings of the same path: if they disagree, which one wins is
-  // anyone's guess — refuse rather than pick.
-  if (checkpoint_flag != nullptr && journal_flag != nullptr) {
-    bad_flag(journal_flag,
-             "only one of --checkpoint/--journal (they are aliases for the "
-             "same checkpoint files)");
-  }
-  // A checkpoint interval without a checkpoint file would silently
-  // checkpoint nothing; that is an operator error, not a default.
-  if (checkpoint_every_flag != nullptr && options.checkpoint_path.empty()) {
-    bad_flag(checkpoint_every_flag,
-             "--checkpoint=PATH alongside it (an interval without a "
-             "checkpoint file checkpoints nothing)");
-  }
   return options;
+}
+
+bool runtime_flag(const char* arg) {
+  for (const char* prefix : {"--jobs=", "--checker-threads=",
+                             "--checker-batch=", "--shard=", "--out=",
+                             "--checkpoint="}) {
+    if (std::strncmp(arg, prefix, std::strlen(prefix)) == 0) return true;
+  }
+  return std::strncmp(arg, "-j", 2) == 0;  // -jN
 }
 
 SystemConfig SystemConfig::standard() {
@@ -202,14 +177,6 @@ SystemConfig SystemConfig::standard() {
                        .line_bytes = 64,
                        .hit_latency = 12,
                        .mshrs = 16};
-  return cfg;
-}
-
-SystemConfig SystemConfig::baseline_unchecked() {
-  SystemConfig cfg = standard();
-  cfg.detection.enabled = false;
-  cfg.detection.simulate_checkers = false;
-  cfg.detection.load_forwarding_unit = false;
   return cfg;
 }
 

@@ -187,8 +187,8 @@ struct DetectionConfig {
 /// worker-thread count plus the ticket batch size the segment pipeline
 /// coalesces sealed segments at. Purely host-side — results are
 /// byte-identical at any combination (sim/segment_pipeline.h), only
-/// wall-clock changes. Implicitly constructible from a bare thread count
-/// so legacy `run_program(..., threads)` call sites keep compiling.
+/// wall-clock changes. Implicitly constructible from a bare thread count,
+/// so `job.checker = threads` reads naturally.
 struct CheckerExec {
   /// Adaptive batch sizing: the pipeline grows each ticket until it holds
   /// ~kAutoBatchTargetInsts replayed instructions (clamped to half the
@@ -242,34 +242,34 @@ struct RuntimeOptions {
   /// aggregate, versioned JSON) for tools/merge_results.
   std::string out_path;
 
-  /// `--checkpoint=PATH` (alias `--journal=PATH`; giving both exits 2):
-  /// persist every completed run — an O(record) append to the journal at
-  /// PATH.journal, compacted periodically into a snapshot at PATH — so an
-  /// interrupted campaign restarted with the same flag resumes without
-  /// re-running finished tasks.
+  /// `--checkpoint=PATH`: persist every completed run as an O(record)
+  /// append to the checkpoint journal at PATH, so an interrupted campaign
+  /// restarted with the same flag resumes without re-running finished
+  /// tasks. A file at PATH that is not that journal is refused (exit 1).
   std::string checkpoint_path;
-
-  /// `--checkpoint-every=M`: minimum journaled records between snapshot
-  /// compactions (completions are journaled immediately regardless).
-  /// Only meaningful with `--checkpoint=PATH`; given alone it exits 2
-  /// (an interval without a checkpoint file checkpoints nothing).
-  std::uint64_t checkpoint_every = 16;
 
   /// Scans argv for `--jobs=N` / `--jobs N` / `-jN` / `-j N`,
   /// `--checker-threads=N`, `--checker-batch=N|auto`, and — when
-  /// `campaign_flags` is true —
-  /// `--shard=K/N`, `--out=PATH`,
-  /// `--checkpoint=PATH`/`--journal=PATH` and `--checkpoint-every=M`.
+  /// `campaign_flags` is true — `--shard=K/N`, `--out=PATH` and
+  /// `--checkpoint=PATH`.
   /// Drivers that do not execute through Campaign::run_sharded must leave
   /// `campaign_flags` false: the campaign flags then exit with status 2
   /// instead of being silently swallowed (a sharding run that quietly
   /// executes the whole campaign and writes no artifact is worse than an
   /// error). Malformed values for recognised flags exit with status 2;
   /// unrelated arguments are ignored, so drivers can layer their own
-  /// parsing on top.
+  /// parsing on top (see runtime_flag).
   static RuntimeOptions from_args(int argc, char** argv,
                                   bool campaign_flags = false);
 };
+
+/// Whether `arg` is one of the '='-form flags (or `-jN`) that
+/// RuntimeOptions::from_args parses. A driver layering its own parsing on
+/// top exits 2 on any `-` argument that is neither this nor one of its
+/// own flags, so a misspelled or removed flag cannot silently run the
+/// defaults. (The space forms `--jobs N` / `-j N` take the next argument
+/// too; from_args rejects every other space form.)
+bool runtime_flag(const char* arg);
 
 /// Full system configuration.
 struct SystemConfig {
@@ -287,10 +287,6 @@ struct SystemConfig {
 
   /// Table I defaults.
   static SystemConfig standard();
-
-  /// Convenience: standard config with detection entirely disabled (used
-  /// as the normalisation baseline for all slowdown figures).
-  static SystemConfig baseline_unchecked();
 };
 
 }  // namespace paradet

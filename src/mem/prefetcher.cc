@@ -11,8 +11,10 @@ void StridePrefetcher::train(Cache& cache, Addr pc, Addr line_addr,
     entry = Entry{pc, line_addr, 0, 0, true};
     return;
   }
-  const std::int64_t stride = static_cast<std::int64_t>(line_addr) -
-                              static_cast<std::int64_t>(entry.last_addr);
+  // A fault-corrupted access can train on any address, so the stride and
+  // the targets are computed in Addr, which wraps, never in signed
+  // arithmetic, which may overflow.
+  const auto stride = static_cast<std::int64_t>(line_addr - entry.last_addr);
   if (stride == 0) return;  // same line; no information.
   if (stride == entry.stride) {
     if (entry.confidence < 3) ++entry.confidence;
@@ -23,12 +25,9 @@ void StridePrefetcher::train(Cache& cache, Addr pc, Addr line_addr,
   entry.last_addr = line_addr;
   if (entry.confidence >= 2) {
     for (unsigned i = 0; i < config_.degree; ++i) {
-      const std::int64_t offset =
-          entry.stride *
-          static_cast<std::int64_t>(config_.distance + i);
-      const Addr target = static_cast<Addr>(
-          static_cast<std::int64_t>(line_addr) + offset);
-      cache.prefetch_line(target, when);
+      const Addr offset =
+          static_cast<Addr>(entry.stride) * (config_.distance + i);
+      cache.prefetch_line(line_addr + offset, when);
       ++issued_;
     }
   }

@@ -1,7 +1,5 @@
 #include "runtime/campaign.h"
 
-#include <algorithm>
-#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -48,7 +46,6 @@ CampaignRunOptions CampaignRunOptions::from_runtime(
   options.shard = ShardSpec{runtime.shard_index, runtime.shard_count};
   options.out_path = runtime.out_path;
   options.checkpoint_path = runtime.checkpoint_path;
-  options.checkpoint_every = runtime.checkpoint_every;
   return options;
 }
 
@@ -58,9 +55,6 @@ CampaignArtifact Campaign::run_sharded(const ParallelRunner& runner,
   const ShardSpec shard = options.shard;
   if (shard.count == 0 || shard.index >= shard.count) {
     throw std::invalid_argument("ShardSpec: need 0 <= index < count");
-  }
-  if (!options.checkpoint_path.empty() && options.checkpoint_every == 0) {
-    throw std::invalid_argument("checkpoint_every must be >= 1");
   }
 
   // This shard's slice of the task space, ascending.
@@ -72,59 +66,23 @@ CampaignArtifact Campaign::run_sharded(const ParallelRunner& runner,
   std::vector<sim::RunResult> results(owned.size());
   std::vector<char> done(owned.size(), 0);
 
-  // Builds the checkpoint artifact for a set of completed slots
-  // (ascending), absorbing in task-index order.
-  const auto artifact_over = [&](const std::vector<std::size_t>& slots) {
-    CampaignArtifact artifact;
-    artifact.seed = seed_;
-    artifact.tasks = tasks_;
-    artifact.fingerprint = options.fingerprint;
-    artifact.shard = shard;
-    artifact.runs.reserve(slots.size());
-    for (const std::size_t slot : slots) {
-      artifact.runs.push_back({owned[slot], results[slot]});
-      artifact.aggregate.absorb(results[slot]);
-    }
-    return artifact;
-  };
-
-  // Resume: the checkpoint's snapshot plus its journal (either may be a
-  // legacy whole-file checkpoint, a compaction, or an append tail from an
-  // interrupted run) pre-fill this shard's completed slots. A checkpoint
-  // for a different campaign or slice is an operator error, never
-  // silently absorbed — load_checkpoint_state validates and throws.
-  const JournalHeader header{seed_, tasks_, options.fingerprint, shard};
+  // Resume: the checkpoint journal's records pre-fill this shard's
+  // completed slots, and later completions append to the same file. A
+  // checkpoint for a different campaign or slice, or a file that is not a
+  // journal at all, is an operator error, never silently absorbed or
+  // overwritten — load_checkpoint_state validates and throws.
   std::unique_ptr<JournalWriter> journal;
-  std::uint64_t snapshot_records = 0;
   if (!options.checkpoint_path.empty()) {
+    const JournalHeader header{seed_, tasks_, options.fingerprint, shard};
     CampaignArtifact checkpoint;
-    std::uint64_t journal_file_records = 0;
-    const bool resumed = load_checkpoint_state(
-        options.checkpoint_path, header, &checkpoint, &journal_file_records);
+    load_checkpoint_state(options.checkpoint_path, header, &checkpoint);
     for (TaskRecord& record : checkpoint.runs) {
       const std::size_t slot =
           static_cast<std::size_t>((record.index - shard.index) / shard.count);
       results[slot] = std::move(record.result);
       done[slot] = 1;
     }
-    if (journal_file_records > 0) {
-      // Normalise to a fresh snapshot + empty journal: replaying the same
-      // journal across repeated restarts would otherwise grow it without
-      // bound, and the compaction trigger below wants clean counts. A
-      // journal with no records means the snapshot alone already is the
-      // resume state — rewriting it would be pure redundant I/O.
-      std::vector<std::size_t> completed;
-      for (std::size_t slot = 0; slot < owned.size(); ++slot) {
-        if (done[slot]) completed.push_back(slot);
-      }
-      write_artifact_file(options.checkpoint_path, artifact_over(completed));
-      snapshot_records = completed.size();
-      std::remove(journal_path_for(options.checkpoint_path).c_str());
-    } else if (resumed) {
-      snapshot_records = checkpoint.runs.size();
-    }
-    journal = std::make_unique<JournalWriter>(
-        journal_path_for(options.checkpoint_path), header);
+    journal = std::make_unique<JournalWriter>(options.checkpoint_path, header);
   }
 
   std::vector<std::size_t> pending;
@@ -132,46 +90,21 @@ CampaignArtifact Campaign::run_sharded(const ParallelRunner& runner,
     if (!done[slot]) pending.push_back(slot);
   }
 
-  // Checkpointing is an O(record) journal append per completion plus a
-  // snapshot compaction whenever the journal holds at least
-  // max(checkpoint_every, snapshot records) records. The geometric
-  // trigger means each compaction roughly doubles the snapshot, so total
-  // checkpoint serialization over an n-task shard is O(n) — n appends
-  // plus a ~2n geometric sum of snapshot writes — instead of the
-  // O(n²/interval) of rewriting every completed run each interval.
-  // Compactions are rare enough (O(log n) of them) that holding one mutex
-  // across append-and-maybe-compact is cheaper than the lock juggling a
-  // per-interval full rewrite used to need.
-  std::mutex checkpoint_mutex;
-  std::uint64_t journal_records = 0;
-
+  // Each completion is one O(record) journal append; nothing is ever
+  // rewritten, so total checkpoint cost over an n-task shard is n appends.
+  std::mutex journal_mutex;
   runner.for_each(pending.size(), [&](std::size_t p) {
     const std::size_t slot = pending[p];
     results[slot] = task(static_cast<std::size_t>(owned[slot]),
                          task_seed(static_cast<std::size_t>(owned[slot])));
-    // Without checkpointing nothing reads done[] after this point: the
-    // final artifact walks every owned slot unconditionally.
     if (journal == nullptr) return;
     // Frame the record outside the mutex — the JSON encode of a big
     // RunResult is the expensive part of an append, and this worker owns
-    // results[slot] until done[slot] is published below.
+    // results[slot].
     const std::string line =
         journal_record_line(owned[slot], results[slot]);
-    const std::lock_guard<std::mutex> lock(checkpoint_mutex);
-    done[slot] = 1;
+    const std::lock_guard<std::mutex> lock(journal_mutex);
     journal->append_line(line);
-    if (++journal_records <
-        std::max<std::uint64_t>(options.checkpoint_every, snapshot_records)) {
-      return;
-    }
-    std::vector<std::size_t> completed;
-    for (std::size_t s = 0; s < owned.size(); ++s) {
-      if (done[s]) completed.push_back(s);
-    }
-    write_artifact_file(options.checkpoint_path, artifact_over(completed));
-    journal->reset();
-    snapshot_records = completed.size();
-    journal_records = 0;
   });
 
   CampaignArtifact artifact;
@@ -187,13 +120,6 @@ CampaignArtifact Campaign::run_sharded(const ParallelRunner& runner,
     artifact.aggregate.absorb(record.result);
   }
 
-  if (journal != nullptr) {
-    // The finished checkpoint is a plain snapshot — the same bytes the
-    // artifact file carries — with no journal beside it, so a re-run (or
-    // any pre-journal reader) loads it directly and re-runs nothing.
-    write_artifact_file(options.checkpoint_path, artifact);
-    journal->remove_file();
-  }
   if (!options.out_path.empty()) {
     write_artifact_file(options.out_path, artifact);
   }

@@ -1,4 +1,4 @@
-// Campaign: a batch of independent CheckedSystem runs executed on a
+// Campaign: a batch of independent simulation runs executed on a
 // ParallelRunner with deterministic per-task RNG seeding and merged
 // statistics.
 //
@@ -21,13 +21,11 @@
 // therefore per-task results) identical to the unsharded campaign's, and
 // run_sharded() can persist its runs as a versioned JSON artifact
 // (runtime/serialize.h) that tools/merge_results folds back — in task
-// order — into the bit-identical single-machine aggregate. The same
-// artifact format doubles as a checkpoint snapshot: an interrupted
-// campaign restarted with the same --checkpoint path resumes without
-// re-running finished tasks and still produces byte-identical final
-// output. Between snapshots, completions persist as O(1) appends to a
-// checksummed journal beside the snapshot (serialize.h), so total
-// checkpoint cost is O(n) over the campaign.
+// order — into the bit-identical single-machine aggregate. A checkpoint
+// is one append-only journal file (serialize.h) taking one O(record)
+// append per completed task: an interrupted campaign restarted with the
+// same --checkpoint path resumes without re-running finished tasks and
+// still produces byte-identical final output.
 #pragma once
 
 #include <cstdint>
@@ -64,13 +62,6 @@ struct CampaignAggregate {
   void merge(const CampaignAggregate& other);
 };
 
-/// Result of a campaign: every per-task RunResult (task order) plus the
-/// merged statistics.
-struct CampaignResult {
-  std::vector<sim::RunResult> runs;
-  CampaignAggregate aggregate;
-};
-
 /// A 1-of-N partition of a campaign's task space: shard K of N owns the
 /// task indices with `task % count == index`. The default 0/1 spec owns
 /// the whole campaign.
@@ -92,8 +83,8 @@ struct TaskRecord {
 /// The persistent/mergeable form of a campaign execution: which slice of
 /// which campaign ran, every completed run (ascending task index), and the
 /// aggregate absorbed over those runs in task index order. Serialized by
-/// runtime/serialize.h; shard outputs, checkpoints and merge_results
-/// outputs are all this one shape.
+/// runtime/serialize.h; shard outputs and merge_results outputs are both
+/// this one shape.
 struct CampaignArtifact {
   std::uint64_t seed = 0;
   std::uint64_t tasks = 0;  ///< whole-campaign task count, not this slice's.
@@ -127,20 +118,13 @@ struct CampaignRunOptions {
   /// Write the completed artifact here (for tools/merge_results).
   std::string out_path;
 
-  /// Checkpoint path: loaded (if present) before running to skip finished
-  /// tasks. Persistence is an append-only journal of completed runs at
-  /// `<path>.journal` (one checksummed record per completion, O(record)
-  /// each) folded periodically — and once more when the shard finishes —
-  /// into a whole-artifact snapshot at `<path>`, so total checkpoint cost
-  /// over the campaign is O(n). A pre-journal checkpoint file is exactly
-  /// a snapshot with no journal; it resumes unchanged.
+  /// Checkpoint path: the append-only journal of completed runs (one
+  /// checksummed record per completion, O(record) each). Loaded (if
+  /// present) before running to skip finished tasks; a finished
+  /// checkpoint re-runs nothing. A file here that is not this slice's
+  /// journal — an artifact, say — makes run_sharded throw and is left
+  /// untouched.
   std::string checkpoint_path;
-
-  /// Compaction floor: the journal is folded into the snapshot once it
-  /// holds at least max(checkpoint_every, current snapshot records)
-  /// completed runs (the second term keeps total compaction cost linear).
-  /// Completions are journaled immediately regardless.
-  std::uint64_t checkpoint_every = 16;
 
   /// Lifts the host-side CLI flags (--shard/--out/--checkpoint/...) into
   /// execution options.
@@ -172,25 +156,6 @@ class Campaign {
   CampaignArtifact run_sharded(const ParallelRunner& runner,
                                const CampaignRunOptions& options,
                                const Task& task) const;
-
-  /// Executes the whole campaign and keeps every per-task RunResult:
-  /// task(index, task_seed(index)) for every index on `runner`, merged in
-  /// task order. Prefer run_sharded with keep_runs=false when only the
-  /// aggregate is needed.
-  template <typename TaskFn>
-  CampaignResult run(const ParallelRunner& runner, TaskFn&& task) const {
-    CampaignRunOptions options;
-    options.keep_runs = true;
-    CampaignArtifact artifact =
-        run_sharded(runner, options, std::forward<TaskFn>(task));
-    CampaignResult result;
-    result.runs.reserve(artifact.runs.size());
-    for (auto& record : artifact.runs) {
-      result.runs.push_back(std::move(record.result));
-    }
-    result.aggregate = std::move(artifact.aggregate);
-    return result;
-  }
 
  private:
   std::size_t tasks_;

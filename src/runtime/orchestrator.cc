@@ -94,13 +94,10 @@ std::vector<std::string> shard_argv(
     const std::string& arg = driver_command[i];
     // The orchestrator owns the sharding/artifact/checkpoint flags — it
     // lays their paths out under the run directory. A caller-supplied
-    // spelling (including the --journal alias, which drivers reject
-    // alongside --checkpoint) is dropped, not fought with: leaving e.g.
-    // --journal in place would make every shard exit 2 at flag parse.
+    // spelling is dropped, not fought with.
     if (i > 0 && (arg.rfind("--shard=", 0) == 0 ||
                   arg.rfind("--out=", 0) == 0 ||
-                  arg.rfind("--checkpoint=", 0) == 0 ||
-                  arg.rfind("--journal=", 0) == 0)) {
+                  arg.rfind("--checkpoint=", 0) == 0)) {
       continue;
     }
     argv.push_back(arg);
@@ -130,13 +127,9 @@ bool is_straggler(double running_seconds,
 }
 
 bool checkpoint_has_progress(const std::string& checkpoint_path) {
-  if (std::FILE* f = std::fopen(checkpoint_path.c_str(), "rb")) {
-    std::fclose(f);
-    return true;  // a snapshot exists (possibly the completed artifact).
-  }
-  // No snapshot yet: a journal with any line beyond the header means at
-  // least one completed task survived to disk.
-  std::FILE* f = std::fopen(journal_path_for(checkpoint_path).c_str(), "rb");
+  // A journal with any line beyond the header means at least one
+  // completed task survived to disk.
+  std::FILE* f = std::fopen(checkpoint_path.c_str(), "rb");
   if (f == nullptr) return false;
   unsigned newlines = 0;
   char buf[1 << 12];

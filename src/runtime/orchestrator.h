@@ -42,7 +42,7 @@ struct OrchestratorOptions {
   unsigned jobs_per_shard = 1;
 
   /// Every per-shard file lives under here (created if absent):
-  /// shard_K.json (artifact), shard_K.ckpt.json[.journal] (checkpoint),
+  /// shard_K.json (artifact), shard_K.ckpt.json (checkpoint journal),
   /// shard_K.log (stdout+stderr), and the merged output.
   std::string run_dir;
 
@@ -63,8 +63,8 @@ struct OrchestratorOptions {
   double straggler_factor = 0.0;
 
   /// Fault-injection drill (CI uses it): SIGKILL this shard index once,
-  /// as soon as its checkpoint shows progress (snapshot present or a
-  /// journaled record) — then let the normal restart path resume it. A
+  /// as soon as its checkpoint shows progress (a journaled record) — then
+  /// let the normal restart path resume it. A
   /// shard so fast it finishes before the kill lands is relaunched once
   /// anyway, so the resume path always runs. The target shard's launch
   /// budget is extended by one, so the drill never eats into its
@@ -96,10 +96,8 @@ struct OrchestratorResult {
 
 /// The exact argv shard `index` runs: the driver command plus the
 /// orchestrator-owned `--jobs/--shard/--out/--checkpoint` flags. Any
-/// caller-supplied `--shard/--out/--checkpoint/--journal` is dropped
-/// first (the orchestrator owns those paths; leaving a caller's
-/// `--journal` next to the appended `--checkpoint` would make the driver
-/// exit 2 on the alias conflict), and the appended `--jobs` wins over a
+/// caller-supplied `--shard/--out/--checkpoint` is dropped first (the
+/// orchestrator owns those paths), and the appended `--jobs` wins over a
 /// caller's by coming last. Pure; exposed for tests.
 std::vector<std::string> shard_argv(
     const std::vector<std::string>& driver_command,
@@ -120,9 +118,8 @@ bool is_straggler(double running_seconds,
                   const std::vector<double>& finished_seconds,
                   std::uint64_t total_shards, double straggler_factor);
 
-/// True once the checkpoint at `checkpoint_path` shows any progress to
-/// resume from: a snapshot file, or a journal holding at least one
-/// record line beyond its header.
+/// True once the checkpoint journal at `checkpoint_path` shows any
+/// progress to resume from: at least one record line beyond its header.
 bool checkpoint_has_progress(const std::string& checkpoint_path);
 
 /// Runs the whole orchestration: spawn, monitor/restart, merge. Throws

@@ -3,7 +3,7 @@
 // The paper's thesis is that checking work parallelises across many small
 // cores; the experiments that demonstrate it (fault campaigns, config
 // sweeps, figure reproductions) are themselves batches of hundreds of
-// *independent* CheckedSystem runs. ParallelRunner executes such a batch
+// *independent* simulation runs. ParallelRunner executes such a batch
 // across a std::thread pool with work stealing over a shared atomic task
 // index: every worker repeatedly claims the next unclaimed index, so load
 // imbalance between short and long simulations self-corrects without any

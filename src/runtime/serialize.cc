@@ -382,6 +382,31 @@ CampaignArtifact read_artifact(const Json& j) {
   return artifact;
 }
 
+// --- Files -----------------------------------------------------------------
+
+/// Writes `text` to a temp file in the same directory, then renames it
+/// over `path`, so a reader (or a crash mid-write) never observes a torn
+/// file.
+void write_file_atomically(const std::string& path, const std::string& text) {
+  const std::string tmp_path = path + ".tmp";
+  std::FILE* f = std::fopen(tmp_path.c_str(), "wb");
+  if (f == nullptr) {
+    throw std::runtime_error("cannot open '" + tmp_path +
+                             "' for writing: " + std::strerror(errno));
+  }
+  const std::size_t written = std::fwrite(text.data(), 1, text.size(), f);
+  const bool flushed = std::fclose(f) == 0;
+  if (written != text.size() || !flushed) {
+    std::remove(tmp_path.c_str());
+    throw std::runtime_error("short write to '" + tmp_path + "'");
+  }
+  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
+    std::remove(tmp_path.c_str());
+    throw std::runtime_error("cannot rename '" + tmp_path + "' to '" + path +
+                             "': " + std::strerror(errno));
+  }
+}
+
 // --- Journal helpers -------------------------------------------------------
 
 std::string journal_header_payload(const JournalHeader& header) {
@@ -534,24 +559,7 @@ CampaignArtifact artifact_from_json(std::string_view text) {
 
 void write_artifact_file(const std::string& path,
                          const CampaignArtifact& artifact) {
-  const std::string text = to_json(artifact);
-  const std::string tmp_path = path + ".tmp";
-  std::FILE* f = std::fopen(tmp_path.c_str(), "wb");
-  if (f == nullptr) {
-    throw std::runtime_error("cannot open '" + tmp_path +
-                             "' for writing: " + std::strerror(errno));
-  }
-  const std::size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  const bool flushed = std::fclose(f) == 0;
-  if (written != text.size() || !flushed) {
-    std::remove(tmp_path.c_str());
-    throw std::runtime_error("short write to '" + tmp_path + "'");
-  }
-  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
-    std::remove(tmp_path.c_str());
-    throw std::runtime_error("cannot rename '" + tmp_path + "' to '" + path +
-                             "': " + std::strerror(errno));
-  }
+  write_file_atomically(path, to_json(artifact));
 }
 
 CampaignArtifact read_artifact_file(const std::string& path) {
@@ -564,10 +572,6 @@ CampaignArtifact read_artifact_file(const std::string& path) {
 }
 
 // --- Append-only checkpoint journal ----------------------------------------
-
-std::string journal_path_for(const std::string& checkpoint_path) {
-  return checkpoint_path + ".journal";
-}
 
 std::string journal_record_line(std::uint64_t index,
                                 const sim::RunResult& result) {
@@ -584,54 +588,59 @@ JournalReplay replay_journal_file(const std::string& path,
                                   const JournalHeader& expected) {
   JournalReplay replay;
   if (!json::exists_or_throw(path)) return replay;
+  replay.found = true;
   const std::string text = read_whole_file(path);
 
-  std::size_t pos = 0;
-  std::size_t valid_end = 0;
-  std::size_t line_no = 0;
+  // The header is created atomically, so a first line that is missing,
+  // unterminated or checksum-bad was never written by a JournalWriter:
+  // refuse the file rather than truncate someone else's data as a torn
+  // tail.
+  const std::size_t header_end = text.find('\n');
+  const std::string_view header_line =
+      std::string_view(text).substr(0, header_end);
+  std::uint64_t sum = 0;
+  if (header_end == std::string::npos ||
+      !json::parse_checksum_prefix(header_line, &sum) ||
+      sum != fnv1a64(header_line.substr(17))) {
+    throw std::runtime_error(
+        path + ": not a paradet checkpoint journal (its first line is not a "
+               "journal header); refusing to resume from or overwrite it");
+  }
+  read_journal_header(parse(header_line.substr(17)), path, expected);
+
+  std::size_t pos = header_end + 1;
+  std::size_t line_no = 1;
   while (pos < text.size()) {
     const std::size_t nl = text.find('\n', pos);
     if (nl == std::string::npos) break;  // torn tail: no terminator.
     const std::string_view line(text.data() + pos, nl - pos);
-    // A checksum-bad *final* line (the file ends at its newline) is a
-    // torn append; anywhere else it is corruption.
-    const bool is_last_line = nl + 1 == text.size();
-    std::uint64_t sum = 0;
     if (!json::parse_checksum_prefix(line, &sum) ||
         sum != fnv1a64(line.substr(17))) {
       // A torn append is always the final bytes of the file; a bad line
       // with intact lines after it is real corruption.
-      if (is_last_line) break;
+      if (nl + 1 == text.size()) break;
       throw std::runtime_error(path + ": corrupt journal record at line " +
                                std::to_string(line_no + 1));
     }
-    const std::string_view payload = line.substr(17);
     try {
-      const Json j = parse(payload);
-      if (line_no == 0) {
-        read_journal_header(j, path, expected);
-        replay.header_valid = true;
-      } else {
-        TaskRecord record;
-        record.index = j.at("index").as_u64();
-        record.result = read_run_result(j.at("result"));
-        replay.records.push_back(std::move(record));
-      }
+      const Json j = parse(line.substr(17));
+      TaskRecord record;
+      record.index = j.at("index").as_u64();
+      record.result = read_run_result(j.at("result"));
+      replay.records.push_back(std::move(record));
     } catch (const std::runtime_error&) {
-      if (line_no == 0) throw;  // a checksummed-but-foreign header is fatal.
       throw std::runtime_error(path +
                                ": journal record " + std::to_string(line_no) +
                                " has a valid checksum but malformed payload");
     }
     pos = nl + 1;
-    valid_end = pos;
     ++line_no;
   }
 
-  if (valid_end < text.size()) {
-    replay.dropped_bytes = text.size() - valid_end;
+  if (pos < text.size()) {
+    replay.dropped_bytes = text.size() - pos;
     std::error_code ec;
-    std::filesystem::resize_file(path, valid_end, ec);
+    std::filesystem::resize_file(path, pos, ec);
     if (ec) {
       throw std::runtime_error("cannot truncate torn journal tail of '" +
                                path + "': " + ec.message());
@@ -641,48 +650,25 @@ JournalReplay replay_journal_file(const std::string& path,
 }
 
 JournalWriter::JournalWriter(std::string path, const JournalHeader& header)
-    : path_(std::move(path)),
-      header_line_(json::checksum_line(journal_header_payload(header))) {
-  open_appending_();
-}
-
-JournalWriter::~JournalWriter() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-void JournalWriter::open_appending_() {
+    : path_(std::move(path)) {
+  if (!json::exists_or_throw(path_)) {
+    write_file_atomically(path_,
+                          json::checksum_line(journal_header_payload(header)));
+  }
   file_ = std::fopen(path_.c_str(), "ab");
   if (file_ == nullptr) {
     throw std::runtime_error("cannot open journal '" + path_ +
                              "' for appending: " + std::strerror(errno));
   }
-  // "a" leaves the initial position implementation-defined; measure the
-  // real size to know whether the header line is still owed.
-  if (std::fseek(file_, 0, SEEK_END) != 0) {
-    throw std::runtime_error("cannot seek journal '" + path_ + "'");
-  }
-  if (std::ftell(file_) == 0) {
-    const std::size_t n =
-        std::fwrite(header_line_.data(), 1, header_line_.size(), file_);
-    if (n != header_line_.size() || std::fflush(file_) != 0) {
-      throw std::runtime_error("cannot write journal header to '" + path_ +
-                               "'");
-    }
-  }
 }
+
+JournalWriter::~JournalWriter() { std::fclose(file_); }
 
 void JournalWriter::append(const TaskRecord& record) {
   append_line(journal_record_line(record.index, record.result));
 }
 
 void JournalWriter::append_line(const std::string& line) {
-  if (file_ == nullptr) {
-    // A failed reset() closed the file and threw; a concurrent worker
-    // landing here afterwards must get the same catchable error, not
-    // fwrite-on-null undefined behavior.
-    throw std::runtime_error("journal '" + path_ +
-                             "' is not open (an earlier compaction failed)");
-  }
   const std::size_t n = std::fwrite(line.data(), 1, line.size(), file_);
   if (n != line.size() || std::fflush(file_) != 0) {
     throw std::runtime_error("cannot append to journal '" + path_ +
@@ -690,45 +676,9 @@ void JournalWriter::append_line(const std::string& line) {
   }
 }
 
-void JournalWriter::reset() {
-  // Fresh header-only journal written beside, then renamed over: a crash
-  // at any point leaves either the old records (already folded into the
-  // snapshot — replay deduplicates) or the clean reset file.
-  std::fclose(file_);
-  file_ = nullptr;
-  const std::string tmp_path = path_ + ".tmp";
-  std::FILE* tmp = std::fopen(tmp_path.c_str(), "wb");
-  if (tmp == nullptr) {
-    throw std::runtime_error("cannot open '" + tmp_path +
-                             "' for writing: " + std::strerror(errno));
-  }
-  const std::size_t n =
-      std::fwrite(header_line_.data(), 1, header_line_.size(), tmp);
-  const bool flushed = std::fclose(tmp) == 0;
-  if (n != header_line_.size() || !flushed) {
-    std::remove(tmp_path.c_str());
-    throw std::runtime_error("short write to '" + tmp_path + "'");
-  }
-  if (std::rename(tmp_path.c_str(), path_.c_str()) != 0) {
-    std::remove(tmp_path.c_str());
-    throw std::runtime_error("cannot rename '" + tmp_path + "' to '" + path_ +
-                             "': " + std::strerror(errno));
-  }
-  open_appending_();
-}
-
-void JournalWriter::remove_file() {
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    file_ = nullptr;
-  }
-  std::remove(path_.c_str());
-}
-
 bool load_checkpoint_state(const std::string& checkpoint_path,
                            const JournalHeader& expected,
-                           CampaignArtifact* state,
-                           std::uint64_t* journal_records) {
+                           CampaignArtifact* state) {
   state->seed = expected.seed;
   state->tasks = expected.tasks;
   state->fingerprint = expected.fingerprint;
@@ -736,40 +686,22 @@ bool load_checkpoint_state(const std::string& checkpoint_path,
   state->runs.clear();
   state->aggregate = CampaignAggregate{};
 
-  bool found = false;
-  if (json::exists_or_throw(checkpoint_path)) {
-    CampaignArtifact snapshot = read_artifact_file(checkpoint_path);
-    if (snapshot.seed != expected.seed || snapshot.tasks != expected.tasks ||
-        snapshot.fingerprint != expected.fingerprint ||
-        !(snapshot.shard == expected.shard)) {
-      throw std::runtime_error(
-          "checkpoint '" + checkpoint_path +
-          "' belongs to a different campaign, configuration or shard "
-          "(seed/tasks/fingerprint/shard mismatch)");
-    }
-    state->runs = std::move(snapshot.runs);
-    found = true;
-  }
-
-  JournalReplay replay =
-      replay_journal_file(journal_path_for(checkpoint_path), expected);
-  found = found || replay.header_valid;
-  if (journal_records != nullptr) *journal_records = replay.records.size();
-
-  // Fold journal records in, skipping indices the snapshot already holds
-  // (a crash between compaction's snapshot write and journal reset leaves
-  // the folded records behind in the journal).
+  JournalReplay replay = replay_journal_file(checkpoint_path, expected);
   std::vector<char> present(expected.tasks, 0);
-  for (const TaskRecord& record : state->runs) present[record.index] = 1;
   for (TaskRecord& record : replay.records) {
     if (record.index >= expected.tasks ||
         !expected.shard.owns(record.index)) {
-      throw std::runtime_error(journal_path_for(checkpoint_path) +
+      throw std::runtime_error(checkpoint_path +
                                ": journal record for task " +
                                std::to_string(record.index) +
                                " is outside this campaign slice");
     }
-    if (present[record.index]) continue;
+    // Every completion is appended exactly once, so a repeat is damage.
+    if (present[record.index]) {
+      throw std::runtime_error(checkpoint_path + ": task " +
+                               std::to_string(record.index) +
+                               " is recorded twice");
+    }
     present[record.index] = 1;
     state->runs.push_back(std::move(record));
   }
@@ -780,7 +712,7 @@ bool load_checkpoint_state(const std::string& checkpoint_path,
   for (const TaskRecord& record : state->runs) {
     state->aggregate.absorb(record.result);
   }
-  return found;
+  return replay.found;
 }
 
 // --- Merging ---------------------------------------------------------------

@@ -1,18 +1,16 @@
 // Portable, versioned serialization for campaign results.
 //
-// A shard's output file, a checkpoint snapshot, and the merge tool's
-// output are all one shape — CampaignArtifact — written as canonical
-// JSON: fixed key order, fixed number formatting (std::to_chars shortest
-// round-trip for doubles, so serialize∘deserialize is the identity down
-// to the last bit), and a format/version header that readers reject
-// loudly when unknown. Canonical bytes are the point: "merging N shard
-// files reproduces the single-machine run" is checked with cmp/==, not
-// with tolerances.
+// A shard's output file and the merge tool's output are one shape —
+// CampaignArtifact — written as canonical JSON: fixed key order, fixed
+// number formatting (std::to_chars shortest round-trip for doubles, so
+// serialize∘deserialize is the identity down to the last bit), and a
+// format/version header that readers reject loudly when unknown.
+// Canonical bytes are the point: "merging N shard files reproduces the
+// single-machine run" is checked with cmp/==, not with tolerances.
 //
-// Checkpoints add a second file: an append-only journal of completed
-// TaskRecords (one checksummed line each) next to the snapshot, so
-// checkpoint cost over a whole campaign is O(n) record serializations
-// instead of O(n²/interval) snapshot rewrites — see the journal section
+// A checkpoint is a different file: an append-only journal of completed
+// TaskRecords, one checksummed line each, so checkpoint cost over a whole
+// campaign is one O(record) append per task — see the journal section
 // below.
 //
 // Non-finite doubles (an empty Summary's min/max are ±inf) are encoded as
@@ -69,40 +67,30 @@ CampaignArtifact read_artifact_file(const std::string& path);
 
 // --- Append-only checkpoint journal ----------------------------------------
 //
-// A checkpoint at PATH is two files:
+// A checkpoint at PATH is one file, appended to and never rewritten:
 //
-//   PATH           the snapshot: a whole CampaignArtifact (the format
-//                  above — a pre-journal checkpoint file is exactly a
-//                  snapshot, so legacy checkpoints resume unchanged).
-//   PATH.journal   TaskRecords completed since that snapshot, appended
-//                  one line at a time:  <fnv1a64-hex16> SP <payload> LF
-//                  where payload is one-line canonical JSON and the
-//                  checksum covers the payload bytes. Line 1's payload is
-//                  a header naming the campaign slice (format/version/
-//                  seed/tasks/fingerprint/shard); every further line is
-//                  {"index":I,"result":{...}}.
+//   <fnv1a64-hex16> SP <payload> LF
+//
+// per line, where payload is one-line canonical JSON and the checksum
+// covers the payload bytes. Line 1's payload is a header naming the
+// campaign slice (format/version/seed/tasks/fingerprint/shard); every
+// further line is {"index":I,"result":{...}} for one completed task.
 //
 // Appending a record is O(record); a crash mid-append leaves a torn final
 // line whose checksum cannot match, and replay truncates it away (the
-// interrupted task simply re-runs). Compaction folds the journal back
-// into the snapshot: write the full artifact to PATH (atomic tmp+rename),
-// then atomically reset PATH.journal to just its header line. A crash
-// between those two steps leaves journal records that are already in the
-// snapshot; replay deduplicates by task index, so every crash window
-// resumes cleanly.
+// interrupted task simply re-runs). The header is written whole under a
+// temp name and renamed into place, so no crash leaves a torn header:
+// whatever else sits at PATH — an artifact, a cut-short header, any other
+// file — fails the first-line check, and the load throws without
+// touching it.
 
 inline constexpr const char* kJournalFormatName = "paradet-campaign-journal";
 /// Bumped in lockstep with kArtifactFormatVersion: journal records embed
 /// the same RunResult encoding.
 inline constexpr std::uint64_t kJournalFormatVersion = 2;
 
-/// The journal file that extends the checkpoint snapshot at
-/// `checkpoint_path`.
-std::string journal_path_for(const std::string& checkpoint_path);
-
-/// Identity of the campaign slice a journal extends. Stored in the
-/// journal's header line and validated on replay, exactly like the
-/// snapshot's seed/tasks/fingerprint/shard fields.
+/// Identity of the campaign slice a journal belongs to. Stored in the
+/// journal's header line and validated on replay.
 struct JournalHeader {
   std::uint64_t seed = 0;
   std::uint64_t tasks = 0;
@@ -114,15 +102,17 @@ struct JournalHeader {
 /// Replay of an existing journal file: every intact record in append
 /// order, plus how many torn trailing bytes were truncated away.
 struct JournalReplay {
-  bool header_valid = false;  ///< false only for an empty/torn-header file.
+  bool found = false;  ///< the file existed (and so had a valid header).
   std::vector<TaskRecord> records;
   std::uint64_t dropped_bytes = 0;  ///< torn tail removed from the file.
 };
 
 /// Reads and validates the journal at `path`, truncating a torn tail (a
 /// crash mid-append) in place so later appends extend a clean file. A
-/// missing file replays empty; a header for a different campaign slice, a
-/// checksum failure before the final line, or an unreadable file throws.
+/// missing file replays empty. A first line that is not this slice's
+/// journal header, a checksum failure before the final line, or an
+/// unreadable file throws; the first line is never taken for a torn tail,
+/// so a file that fails the header check is left exactly as it was.
 JournalReplay replay_journal_file(const std::string& path,
                                   const JournalHeader& expected);
 
@@ -135,9 +125,10 @@ std::string journal_record_line(std::uint64_t index,
                                 const sim::RunResult& result);
 
 /// Appends TaskRecords to the journal at `path`, one checksummed line
-/// each, flushed per record. Opens in append mode, writing the header
-/// line first when the file is new or empty (replay any existing content
-/// *before* constructing a writer — construction does not validate).
+/// each, flushed per record. A missing file is first created holding just
+/// the header line, atomically (temp file + rename); an existing file is
+/// opened for appending as is (replay it *before* constructing a writer —
+/// construction does not validate).
 class JournalWriter {
  public:
   JournalWriter(std::string path, const JournalHeader& header);
@@ -145,47 +136,28 @@ class JournalWriter {
   JournalWriter(const JournalWriter&) = delete;
   JournalWriter& operator=(const JournalWriter&) = delete;
 
-  const std::string& path() const { return path_; }
-
   /// Appends one completed task. Throws on write failure (a checkpoint
   /// that silently stops persisting is worse than a crashed campaign).
   void append(const TaskRecord& record);
 
   /// Appends a line built by journal_record_line. Same failure contract
-  /// as append; also throws when the file is not open (a previous
-  /// reset() failed mid-compaction).
+  /// as append.
   void append_line(const std::string& line);
 
-  /// Atomically resets the file to just the header line (called after a
-  /// compaction folded the records into the snapshot).
-  void reset();
-
-  /// Closes and deletes the journal file (the campaign finished; the
-  /// final snapshot alone is the completed checkpoint).
-  void remove_file();
-
  private:
-  void open_appending_();
-
   std::string path_;
-  std::string header_line_;
   std::FILE* file_ = nullptr;
 };
 
-/// Everything the checkpoint at `checkpoint_path` currently holds: the
-/// snapshot artifact (a legacy whole-file checkpoint or the last
-/// compaction) with the journal's intact records folded in — validated
-/// against `expected`, deduplicated by task index, sorted ascending, and
-/// with the aggregate re-absorbed in task order. Returns false when
-/// neither file exists; throws when either belongs to a different
-/// campaign slice or is corrupt (beyond a torn journal tail, which is
-/// truncated in place). `journal_records`, when given, receives the
-/// number of intact records physically in the journal file (pre-dedupe)
-/// — zero means the snapshot alone already is the whole resume state.
+/// Everything the checkpoint at `checkpoint_path` holds, as an artifact:
+/// the journal's records, validated against `expected`, sorted by task
+/// index, with the aggregate absorbed in task order. Returns false when
+/// the file does not exist. Throws when it is not this slice's journal,
+/// is corrupt (beyond a torn tail, which is truncated in place), records
+/// a task outside the slice, or records one task twice.
 bool load_checkpoint_state(const std::string& checkpoint_path,
                            const JournalHeader& expected,
-                           CampaignArtifact* state,
-                           std::uint64_t* journal_records = nullptr);
+                           CampaignArtifact* state);
 
 // --- Merging ---------------------------------------------------------------
 

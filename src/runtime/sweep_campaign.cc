@@ -37,8 +37,9 @@ SweepCampaign SweepCampaign::flat(std::vector<std::size_t> cell_workloads,
 void SweepCampaign::enable_baselines(const SystemConfig& config,
                                      std::uint64_t max_instructions) {
   baselines_ = true;
-  baseline_config_ = config;
-  baseline_budget_ = max_instructions;
+  baseline_.config = config;
+  baseline_.mode = sim::SimMode::kBaseline;
+  baseline_.max_instructions = max_instructions;
 }
 
 SweepResult SweepCampaign::run(const ParallelRunner& runner,
@@ -78,8 +79,7 @@ SweepResult SweepCampaign::run(const ParallelRunner& runner,
     if (!result.workload_touched[w]) return;
     images[w] = AssemblyCache::instance().get(workloads_[w]);
     if (baselines_) {
-      result.baselines[w] =
-          sim::run_program(baseline_config_, images[w], baseline_budget_);
+      result.baselines[w] = sim::run_job(baseline_, images[w]);
       result.baseline_done[w] = 1;
     }
   });

@@ -94,8 +94,8 @@ struct SweepResult {
 class SweepCampaign {
  public:
   /// Simulates one cell. `image` is the shared immutable assembled image
-  /// of `workload` (pass it to the sim::run_program / run_job shared-image
-  /// overloads so predecode and statics are shared, not copied);
+  /// of `workload` (pass it to the sim::run_job shared-image overload so
+  /// predecode and statics are shared, not copied);
   /// `task_seed` is the cell's deterministic Campaign seed (a pure
   /// function of the sweep seed and the cell index). Must be safe to call
   /// concurrently from multiple workers.
@@ -117,9 +117,9 @@ class SweepCampaign {
                             std::vector<workloads::Workload> workloads,
                             std::uint64_t seed);
 
-  /// Pairs every workload with one baseline run under `config` (budget
-  /// `max_instructions`), computed outside the campaign task space by
-  /// every shard that touches the workload.
+  /// Pairs every workload with one unchecked run (SimMode::kBaseline) of
+  /// `config`, budget `max_instructions`, computed outside the campaign
+  /// task space by every shard that touches the workload.
   void enable_baselines(const SystemConfig& config,
                         std::uint64_t max_instructions);
 
@@ -148,8 +148,7 @@ class SweepCampaign {
   std::uint64_t seed_ = 0;
   bool grid_ = true;
   bool baselines_ = false;
-  SystemConfig baseline_config_;
-  std::uint64_t baseline_budget_ = 0;
+  sim::SimJob baseline_;
 };
 
 /// Layout for print_transposed: column labels (one per point) and numeric

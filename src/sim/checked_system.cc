@@ -153,11 +153,11 @@ class CommitTracker {
   unsigned count_ = 0;
 };
 
-/// The commit loop of a CheckedSystem run, with every loop-carried value a
+/// The commit loop of a simulation run, with every loop-carried value a
 /// member instead of a local so a run can stop at a macro-op boundary, be
 /// captured into a WarmState, and resume later in a different runner —
 /// byte-identically. Three entry shapes share the one loop:
-///   * CheckedSystem::run      — fresh runner, loop to completion;
+///   * run_job                 — fresh runner, loop to completion;
 ///   * capture_warm_state      — fresh runner, loop to a prefix, capture();
 ///   * run_job_from            — warm runner (forked memory), loop to
 ///                               completion.
@@ -709,16 +709,6 @@ void ensure_statics(LoadedProgram& program) {
 
 }  // namespace
 
-RunResult CheckedSystem::run(LoadedProgram& program,
-                             std::uint64_t max_instructions,
-                             core::FaultInjector* faults,
-                             core::UndoLog* undo_log) {
-  ensure_statics(program);
-  SystemRunner runner(config_, checker_, program, faults, undo_log);
-  runner.loop(max_instructions, SystemRunner::kNoCapture);
-  return runner.finalize();
-}
-
 SystemConfig apply_mode(SystemConfig config, SimMode mode) {
   switch (mode) {
     case SimMode::kBaseline:
@@ -737,8 +727,11 @@ SystemConfig apply_mode(SystemConfig config, SimMode mode) {
 }
 
 RunResult run_job(const SimJob& job, LoadedProgram& program) {
-  CheckedSystem system(apply_mode(job.config, job.mode), job.checker);
-  return system.run(program, job.max_instructions, job.faults, job.undo_log);
+  const SystemConfig config = apply_mode(job.config, job.mode);
+  ensure_statics(program);
+  SystemRunner runner(config, job.checker, program, job.faults, job.undo_log);
+  runner.loop(job.max_instructions, SystemRunner::kNoCapture);
+  return runner.finalize();
 }
 
 RunResult run_job(const SimJob& job, const isa::Assembled& assembled) {
@@ -749,25 +742,6 @@ RunResult run_job(const SimJob& job, const isa::Assembled& assembled) {
 RunResult run_job(const SimJob& job, const AssembledImage& image) {
   LoadedProgram program = load_program(image);
   return run_job(job, program);
-}
-
-RunResult run_program(const SystemConfig& config,
-                      const isa::Assembled& assembled,
-                      std::uint64_t max_instructions,
-                      core::FaultInjector* faults,
-                      CheckerExec checker) {
-  LoadedProgram program = load_program(assembled);
-  CheckedSystem system(config, checker);
-  return system.run(program, max_instructions, faults);
-}
-
-RunResult run_program(const SystemConfig& config, const AssembledImage& image,
-                      std::uint64_t max_instructions,
-                      core::FaultInjector* faults,
-                      CheckerExec checker) {
-  LoadedProgram program = load_program(image);
-  CheckedSystem system(config, checker);
-  return system.run(program, max_instructions, faults);
 }
 
 namespace {

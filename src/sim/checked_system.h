@@ -1,14 +1,13 @@
-// CheckedSystem: the full system of fig. 3 — a main out-of-order core with
-// its cache hierarchy, coupled to N checker cores through the partitioned
-// load-store log, the load forwarding unit and the register checkpoint
-// unit. One run() call simulates a program to completion (or an
-// instruction budget), producing the performance, delay and detection
-// statistics that the paper's figures are built from.
+// The checked system of fig. 3 — a main out-of-order core with its cache
+// hierarchy, coupled to N checker cores through the partitioned load-store
+// log, the load forwarding unit and the register checkpoint unit. One
+// run_job() call simulates a program to completion (or an instruction
+// budget), producing the performance, delay and detection statistics that
+// the paper's figures are built from.
 //
-// The same class also runs the *unchecked baseline* (detection disabled in
-// SystemConfig), which is the normalisation denominator for all slowdown
-// figures, and the checkpoint-only mode of Figure 10
-// (detection.simulate_checkers = false).
+// SimJob::mode also selects the *unchecked baseline* (detection disabled),
+// which is the normalisation denominator for all slowdown figures, and the
+// checkpoint-only mode of Figure 10 (infinitely fast checkers).
 #pragma once
 
 #include <cstdint>
@@ -116,37 +115,6 @@ struct RunResult {
   }
 };
 
-class CheckedSystem {
- public:
-  /// `checker` selects the segment-pipeline execution mode: 0 threads
-  /// replays each sealed segment inline at seal time (the legacy
-  /// behaviour); N > 0 replays concurrently on N worker threads with an
-  /// in-order absorber, coalescing `checker.batch` sealed segments per
-  /// handoff ticket (sim/segment_pipeline.h). Results are byte-identical
-  /// at any thread count × batch size; a bare thread count converts
-  /// implicitly (batch = auto).
-  explicit CheckedSystem(const SystemConfig& config, CheckerExec checker = {})
-      : config_(config), checker_(checker) {}
-
-  /// Simulates `program` until HALT/FAULT/trap or `max_instructions`.
-  /// `faults` may be null (fault-free run). The program memory is mutated
-  /// by stores; reload for repeated runs. If `undo_log` is non-null, the
-  /// commit stage records write-ahead undo data for every store, enabling
-  /// rollback recovery (core/recovery.h); records of validated segments
-  /// are discarded as their checks pass.
-  RunResult run(LoadedProgram& program, std::uint64_t max_instructions,
-                core::FaultInjector* faults = nullptr,
-                core::UndoLog* undo_log = nullptr);
-
-  const SystemConfig& config() const { return config_; }
-  unsigned checker_threads() const { return checker_.threads; }
-  const CheckerExec& checker_exec() const { return checker_; }
-
- private:
-  SystemConfig config_;
-  CheckerExec checker_;
-};
-
 /// What the simulated machine is, reduced to the three shapes every driver
 /// actually runs: the full checked system, the checkpoint-only ablation of
 /// Figure 10, and the unchecked normalisation baseline. Replaces ad-hoc
@@ -163,8 +131,7 @@ SystemConfig apply_mode(SystemConfig config, SimMode mode);
 
 /// One fully-described simulation: configuration, mode, budget, optional
 /// fault plan and undo log, and the checker-replay thread count. The
-/// single entry point drivers should use; CheckedSystem/run_program remain
-/// as thin wrappers.
+/// mode, not the config's detection switches, says what the machine is.
 struct SimJob {
   SystemConfig config;
   SimMode mode = SimMode::kChecked;
@@ -178,8 +145,13 @@ struct SimJob {
   CheckerExec checker;
 };
 
-/// Runs `job` against an already-loaded program (reload between runs: the
-/// memory is mutated by stores).
+/// Simulates `job` on an already-loaded program until HALT/FAULT/trap or
+/// the instruction budget — the one way to run a simulation. The program
+/// memory is mutated by stores; reload for repeated runs. With
+/// `job.undo_log` set, the commit stage records write-ahead undo data for
+/// every store, enabling rollback recovery (core/recovery.h); records of
+/// validated segments are discarded as their checks pass. Results are
+/// byte-identical at any `job.checker` thread count × batch size.
 RunResult run_job(const SimJob& job, LoadedProgram& program);
 
 /// Runs `job` against a fresh load of `assembled`.
@@ -188,20 +160,6 @@ RunResult run_job(const SimJob& job, const isa::Assembled& assembled);
 /// Runs `job` against a fresh load of the shared `image` (the campaign
 /// path: predecode and statics are shared, never copied).
 RunResult run_job(const SimJob& job, const AssembledImage& image);
-
-/// Runs `assembled` on a fresh system: convenience for tests/examples.
-/// Thin wrapper over run_job (mode comes pre-applied in `config`).
-RunResult run_program(const SystemConfig& config,
-                      const isa::Assembled& assembled,
-                      std::uint64_t max_instructions,
-                      core::FaultInjector* faults = nullptr,
-                      CheckerExec checker = {});
-
-/// Shared-image run_program (the campaign path).
-RunResult run_program(const SystemConfig& config, const AssembledImage& image,
-                      std::uint64_t max_instructions,
-                      core::FaultInjector* faults = nullptr,
-                      CheckerExec checker = {});
 
 // --- Warm-state forking (fault campaigns) --------------------------------
 

@@ -2,7 +2,7 @@
 // scalar pipeline with full forwarding, a private L0 instruction cache, an
 // L1 instruction cache shared by all checker cores, and no data cache (all
 // data reads hit the segment's log SRAM). All cycles here are *checker*
-// cycles; the CheckedSystem converts to the global domain via ClockDomain.
+// cycles; the simulation run converts to the global domain via ClockDomain.
 //
 // Modelling notes (see DESIGN.md §6):
 //  * The shared L1I is modelled as a shared tag array without port

@@ -1,8 +1,9 @@
-// The checker side of a CheckedSystem run, behind a produce/absorb API.
+// The checker side of a checked simulation run, behind a produce/absorb
+// API.
 //
-// CheckedSystem's commit loop *produces* sealed segments; this pipeline
-// replays and absorbs them. Each segment's processing splits into two
-// halves with very different concurrency properties:
+// The main core's commit loop (sim::run_job) *produces* sealed segments;
+// this pipeline replays and absorbs them. Each segment's processing splits
+// into two halves with very different concurrency properties:
 //
 //   * the *work* half — functional replay (core::CheckerEngine) — is pure
 //     over the sealed segment and an immutable snapshot of the program's

@@ -2,7 +2,7 @@
 //
 // A fault campaign runs the same program hundreds of times, varying only a
 // fault that triggers late in the run. Everything before the trigger is
-// byte-identical across trials, so CheckedSystem can simulate that prefix
+// byte-identical across trials, so a campaign can simulate that prefix
 // once, capture a WarmState, and resume each faulty tail from it:
 //
 //   auto warm = capture_warm_state(job, assembled, prefix_uops);
@@ -122,7 +122,7 @@ struct PipelineWarm {
   std::vector<std::int64_t> last_ordinal_for_index;
 };
 
-/// A complete mid-run snapshot of a CheckedSystem simulation, captured at
+/// A complete mid-run snapshot of a simulation run, captured at
 /// a macro-op boundary. Deliberately neither copyable nor movable: the
 /// MachineState inside is self-referential, and campaign code shares one
 /// capture across many tails anyway (std::unique_ptr<WarmState>).

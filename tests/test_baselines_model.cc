@@ -80,8 +80,11 @@ TEST(Rmt, SignificantSlowdownNoHardFaultCover) {
   const auto assembled = workloads::assemble_or_die(workload);
   const auto rmt =
       baseline::run_rmt(SystemConfig::standard(), assembled, 400000);
-  const auto unprotected = sim::run_program(
-      SystemConfig::baseline_unchecked(), assembled, 400000);
+  sim::SimJob base;
+  base.config = SystemConfig::standard();
+  base.mode = sim::SimMode::kBaseline;
+  base.max_instructions = 400000;
+  const auto unprotected = sim::run_job(base, assembled);
   const double slowdown = static_cast<double>(rmt.cycles) /
                           static_cast<double>(unprotected.main_done_cycle);
   // Mukherjee et al. report ~32% average; compute-bound kernels sit at
@@ -104,15 +107,17 @@ TEST(Rmt, OverheadIsBroadBased) {
   const auto compute_asm = workloads::assemble_or_die(compute);
   const auto memory_asm = workloads::assemble_or_die(memory);
   const SystemConfig cfg = SystemConfig::standard();
-  const SystemConfig base = SystemConfig::baseline_unchecked();
+  sim::SimJob base;
+  base.config = cfg;
+  base.mode = sim::SimMode::kBaseline;
+  base.max_instructions = 400000;
   const double compute_slowdown =
       static_cast<double>(baseline::run_rmt(cfg, compute_asm, 400000).cycles) /
-      static_cast<double>(
-          sim::run_program(base, compute_asm, 400000).main_done_cycle);
+      static_cast<double>(sim::run_job(base, compute_asm).main_done_cycle);
+  base.max_instructions = 200000;
   const double memory_slowdown =
       static_cast<double>(baseline::run_rmt(cfg, memory_asm, 200000).cycles) /
-      static_cast<double>(
-          sim::run_program(base, memory_asm, 200000).main_done_cycle);
+      static_cast<double>(sim::run_job(base, memory_asm).main_done_cycle);
   EXPECT_GT(compute_slowdown, 1.1);
   EXPECT_GT(memory_slowdown, 1.1);
   EXPECT_LT(compute_slowdown, 2.5);

@@ -323,11 +323,14 @@ TEST(FrontEnd, DefaultConfigRunResultSerializesIdentically) {
   const auto workload =
       workloads::standard_suite(workloads::Scale{0.02}).front();
   const auto image = runtime::AssemblyCache::instance().get(workload);
-  const RunResult defaulted =
-      run_program(SystemConfig::standard(), image, 200'000);
-  SystemConfig named = SystemConfig::standard();
-  ASSERT_TRUE(parse_frontend_kind("tournament", &named.branch_predictor.kind));
-  const RunResult via_name = run_program(named, image, 200'000);
+  SimJob job;
+  job.config = SystemConfig::standard();
+  job.mode = SimMode::kChecked;
+  job.max_instructions = 200'000;
+  const RunResult defaulted = run_job(job, image);
+  ASSERT_TRUE(
+      parse_frontend_kind("tournament", &job.config.branch_predictor.kind));
+  const RunResult via_name = run_job(job, image);
   EXPECT_EQ(runtime::to_json(defaulted), runtime::to_json(via_name));
   EXPECT_GT(defaulted.instructions, 0u);
 }

@@ -185,6 +185,28 @@ TEST(Prefetcher, NoPrefetchOnRandomPattern) {
   EXPECT_EQ(prefetcher.issued(), 0u);
 }
 
+TEST(Prefetcher, StrideAcrossTheSignBitWraps) {
+  // A fault-corrupted address can be anything. A stream straddling 2^63
+  // must train and prefetch in wrapping address arithmetic: as int64 the
+  // stride and the target would overflow (UBSan reports it).
+  FixedLatency next(100);
+  Cache cache(small_cache(), next);
+  StridePrefetcher prefetcher;
+  cache.set_prefetcher(&prefetcher);
+  const Addr pc = 0x1000;
+  const Addr top = Addr{1} << 63;
+  Cycle now = 0;
+  for (Addr line = top - 4 * 64; line != top + 4 * 64; line += 64) {
+    cache.access(line, false, now, pc);
+    now += 200;
+  }
+  EXPECT_GT(prefetcher.issued(), 0u);
+  // The prefetches land strides ahead of the stream, past the sign bit.
+  const auto misses_before = cache.misses();
+  cache.access(top + 4 * 64, false, now, pc);
+  EXPECT_EQ(cache.misses(), misses_before);
+}
+
 TEST(Cache, PrefetchDoesNotEvictOnPresence) {
   FixedLatency next(100);
   Cache cache(small_cache(), next);

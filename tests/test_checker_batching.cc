@@ -70,18 +70,28 @@ isa::Assembled assemble_fixture() {
   return assembled;
 }
 
+/// The checked Table I system over 50,000 instructions, replaying in the
+/// `checker` shape.
+sim::SimJob checked_job(CheckerExec checker) {
+  sim::SimJob job;
+  job.config = SystemConfig::standard();
+  job.mode = sim::SimMode::kChecked;
+  job.max_instructions = 50000;
+  job.checker = checker;
+  return job;
+}
+
 // --- Determinism matrix ----------------------------------------------------
 
 TEST(CheckerBatching, RunResultByteIdenticalAcrossBatchAndThreads) {
   const auto assembled = assemble_fixture();
-  const SystemConfig config = SystemConfig::standard();
-  const std::string inline_json = runtime::to_json(
-      sim::run_program(config, assembled, 50000, nullptr, CheckerExec{}));
+  const std::string inline_json =
+      runtime::to_json(sim::run_job(checked_job(CheckerExec{}), assembled));
   for (const unsigned threads : {0u, 1u, 4u}) {
     for (const unsigned batch :
          {1u, 4u, CheckerExec::kAutoBatch, /*batch > segments:*/ 64u}) {
-      const std::string json = runtime::to_json(sim::run_program(
-          config, assembled, 50000, nullptr, CheckerExec(threads, batch)));
+      const std::string json = runtime::to_json(
+          sim::run_job(checked_job(CheckerExec(threads, batch)), assembled));
       EXPECT_EQ(inline_json, json)
           << "diverged at threads=" << threads << " batch=" << batch;
     }
@@ -104,9 +114,10 @@ TEST(CheckerBatching, WorkloadSweepInvariantAcrossBatchThreadsAndJobs) {
         runner, runtime::CampaignRunOptions{},
         [&](std::size_t point, std::size_t,
             const runtime::AssemblyCache::Image& image, std::uint64_t) {
-          SystemConfig config = SystemConfig::standard();
-          config.checker.freq_mhz = point == 0 ? 500 : 1000;
-          return sim::run_program(config, image, kBudget, nullptr, checker);
+          sim::SimJob job = checked_job(checker);
+          job.config.checker.freq_mhz = point == 0 ? 500 : 1000;
+          job.max_instructions = kBudget;
+          return sim::run_job(job, image);
         });
     std::string bytes;
     for (std::size_t p = 0; p < 2; ++p) {
@@ -140,9 +151,11 @@ TEST(CheckerBatching, FaultDetectionInvariantAcrossBatchSizes) {
     spec.bit = 9;
     faults.add(spec);
     sim::LoadedProgram program = sim::load_program(assembled);
-    sim::CheckedSystem system(SystemConfig::standard(), checker);
     core::UndoLog undo;
-    return system.run(program, 50000, &faults, &undo);
+    sim::SimJob job = checked_job(checker);
+    job.faults = &faults;
+    job.undo_log = &undo;
+    return sim::run_job(job, program);
   };
   const sim::RunResult reference = run_faulty(CheckerExec{});
   ASSERT_TRUE(reference.error_detected);

@@ -1,11 +1,11 @@
-// The append-only checkpoint journal, proven at the failure boundaries
-// the design exists for: a crash mid-append (torn final line) truncates
-// cleanly and resumes; compaction cadence never changes the final bytes;
-// a resume from journal-only, snapshot-only (legacy pre-journal
-// checkpoint) or snapshot+journal state re-runs exactly the unfinished
-// tasks and reproduces the uninterrupted campaign's artifact byte for
-// byte; and the compaction crash window (records in both snapshot and
-// journal) deduplicates instead of double-counting.
+// The checkpoint journal — one append-only file per checkpoint — proven
+// at the failure boundaries the design exists for: a crash mid-append
+// (torn final line) truncates cleanly and resumes; a resume re-runs
+// exactly the unfinished tasks and reproduces the uninterrupted campaign's
+// artifact byte for byte; a finished checkpoint re-runs nothing; and a
+// file at the checkpoint path that is not this slice's journal (an
+// artifact, a cut-short header) or that records a task twice is refused
+// loudly, never truncated or overwritten.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -49,7 +49,7 @@ sim::RunResult synthetic_task(std::size_t, std::uint64_t task_seed) {
 }
 
 /// The uninterrupted unsharded artifact's bytes: the ground truth every
-/// crashed/resumed/compacted variant must reproduce.
+/// crashed/resumed variant must reproduce.
 const std::string& reference_json() {
   static const std::string* text = [] {
     const Campaign campaign(kTasks, kSeed);
@@ -61,20 +61,30 @@ const std::string& reference_json() {
   return *text;
 }
 
-/// A temp checkpoint path with no stale snapshot/journal next to it.
+/// A temp checkpoint path with nothing stale at it.
 std::string fresh_path(const std::string& name) {
   const std::string path = testing::TempDir() + "/" + name;
   std::remove(path.c_str());
-  std::remove(journal_path_for(path).c_str());
   return path;
 }
 
-bool file_exists(const std::string& path) {
-  if (std::FILE* f = std::fopen(path.c_str(), "rb")) {
-    std::fclose(f);
-    return true;
-  }
-  return false;
+std::string read_file(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr) << path;
+  std::string text;
+  if (f == nullptr) return text;
+  char buf[1 << 12];
+  std::size_t got = 0;
+  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, got);
+  std::fclose(f);
+  return text;
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fwrite(bytes.data(), 1, bytes.size(), f);
+  std::fclose(f);
 }
 
 std::uint64_t file_size(const std::string& path) {
@@ -94,18 +104,9 @@ void append_raw(const std::string& path, const std::string& bytes) {
 }
 
 void truncate_to(const std::string& path, std::uint64_t size) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::string text;
-  char buf[1 << 12];
-  std::size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, got);
-  std::fclose(f);
+  const std::string text = read_file(path);
   ASSERT_LE(size, text.size());
-  f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fwrite(text.data(), 1, size, f);
-  std::fclose(f);
+  write_file(path, text.substr(0, size));
 }
 
 JournalHeader header_for(const Campaign& campaign,
@@ -116,8 +117,7 @@ JournalHeader header_for(const Campaign& campaign,
 // --- The journal file itself -----------------------------------------------
 
 TEST(CheckpointJournal, AppendReplayRoundTripsRecords) {
-  const std::string ckpt = fresh_path("journal_roundtrip.json");
-  const std::string journal = journal_path_for(ckpt);
+  const std::string journal = fresh_path("journal_roundtrip.json");
   const JournalHeader header{kSeed, kTasks, 0x50FA, ShardSpec{1, 3}};
 
   std::vector<TaskRecord> written;
@@ -130,7 +130,7 @@ TEST(CheckpointJournal, AppendReplayRoundTripsRecords) {
     }
   }
   const JournalReplay replay = replay_journal_file(journal, header);
-  EXPECT_TRUE(replay.header_valid);
+  EXPECT_TRUE(replay.found);
   EXPECT_EQ(replay.dropped_bytes, 0u);
   ASSERT_EQ(replay.records.size(), written.size());
   for (std::size_t i = 0; i < written.size(); ++i) {
@@ -141,16 +141,14 @@ TEST(CheckpointJournal, AppendReplayRoundTripsRecords) {
 }
 
 TEST(CheckpointJournal, MissingJournalReplaysEmpty) {
-  const std::string ckpt = fresh_path("journal_missing.json");
-  const JournalReplay replay =
-      replay_journal_file(journal_path_for(ckpt), JournalHeader{});
-  EXPECT_FALSE(replay.header_valid);
+  const JournalReplay replay = replay_journal_file(
+      fresh_path("journal_missing.json"), JournalHeader{});
+  EXPECT_FALSE(replay.found);
   EXPECT_TRUE(replay.records.empty());
 }
 
 TEST(CheckpointJournal, TornTailIsTruncatedInPlaceAndAppendable) {
-  const std::string ckpt = fresh_path("journal_torn.json");
-  const std::string journal = journal_path_for(ckpt);
+  const std::string journal = fresh_path("journal_torn.json");
   const JournalHeader header{kSeed, kTasks, 0, ShardSpec{}};
 
   {
@@ -163,7 +161,7 @@ TEST(CheckpointJournal, TornTailIsTruncatedInPlaceAndAppendable) {
   // A crash mid-append leaves a checksum-framed prefix with no newline.
   append_raw(journal, "a1b2c3d4e5f60718 {\"index\":2,\"result\":{\"trunc");
   JournalReplay replay = replay_journal_file(journal, header);
-  EXPECT_TRUE(replay.header_valid);
+  EXPECT_TRUE(replay.found);
   EXPECT_EQ(replay.records.size(), 2u);
   EXPECT_GT(replay.dropped_bytes, 0u);
   EXPECT_EQ(file_size(journal), intact_size);  // tail gone from disk too.
@@ -180,8 +178,7 @@ TEST(CheckpointJournal, TornTailIsTruncatedInPlaceAndAppendable) {
 }
 
 TEST(CheckpointJournal, TornBytesMidFinalRecordAreDropped) {
-  const std::string ckpt = fresh_path("journal_torn_mid.json");
-  const std::string journal = journal_path_for(ckpt);
+  const std::string journal = fresh_path("journal_torn_mid.json");
   const JournalHeader header{kSeed, kTasks, 0, ShardSpec{}};
   {
     JournalWriter writer(journal, header);
@@ -197,8 +194,7 @@ TEST(CheckpointJournal, TornBytesMidFinalRecordAreDropped) {
 }
 
 TEST(CheckpointJournal, CorruptInteriorRecordThrows) {
-  const std::string ckpt = fresh_path("journal_corrupt.json");
-  const std::string journal = journal_path_for(ckpt);
+  const std::string journal = fresh_path("journal_corrupt.json");
   const JournalHeader header{kSeed, kTasks, 0, ShardSpec{}};
   {
     JournalWriter writer(journal, header);
@@ -207,27 +203,17 @@ TEST(CheckpointJournal, CorruptInteriorRecordThrows) {
   }
   // Flip one payload byte of the *first* record: a bad line with intact
   // lines after it is corruption, not a torn append.
-  std::FILE* f = std::fopen(journal.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::string text;
-  char buf[1 << 12];
-  std::size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, got);
-  std::fclose(f);
+  std::string text = read_file(journal);
   const std::size_t record_start = text.find('\n') + 1;
   text[record_start + 30] ^= 0x01;
-  f = std::fopen(journal.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
+  write_file(journal, text);
 
   EXPECT_THROW(replay_journal_file(journal, header), std::runtime_error);
   std::remove(journal.c_str());
 }
 
 TEST(CheckpointJournal, ForeignJournalHeaderIsRejected) {
-  const std::string ckpt = fresh_path("journal_foreign.json");
-  const std::string journal = journal_path_for(ckpt);
+  const std::string journal = fresh_path("journal_foreign.json");
   const JournalHeader theirs{kSeed + 1, kTasks, 0, ShardSpec{}};
   { JournalWriter writer(journal, theirs); }
   const JournalHeader ours{kSeed, kTasks, 0, ShardSpec{}};
@@ -237,35 +223,26 @@ TEST(CheckpointJournal, ForeignJournalHeaderIsRejected) {
 
 // --- load_checkpoint_state -------------------------------------------------
 
-TEST(CheckpointJournal, LoadDeduplicatesTheCompactionCrashWindow) {
-  // Crash between "snapshot written" and "journal reset": records 0 and 2
-  // exist in both files. The resume state must count each task once.
-  const std::string ckpt = fresh_path("journal_dedupe.json");
+TEST(CheckpointJournal, TaskRecordedTwiceIsRejected) {
+  // Every completion is appended exactly once, so a repeated index can
+  // only be damage; resuming from it would double-count the task.
+  const std::string ckpt = fresh_path("journal_duplicate.json");
   const Campaign campaign(6, kSeed);
-  CampaignArtifact snapshot;
-  snapshot.seed = campaign.seed();
-  snapshot.tasks = campaign.tasks();
-  for (const std::uint64_t index : {0u, 2u}) {
-    snapshot.runs.push_back({index, synthetic_result(index)});
-    snapshot.aggregate.absorb(snapshot.runs.back().result);
-  }
-  write_artifact_file(ckpt, snapshot);
   {
-    JournalWriter writer(journal_path_for(ckpt), header_for(campaign));
+    JournalWriter writer(ckpt, header_for(campaign));
     writer.append({0, synthetic_result(0)});
     writer.append({2, synthetic_result(2)});
-    writer.append({3, synthetic_result(3)});
+    writer.append({0, synthetic_result(0)});
   }
-
   CampaignArtifact state;
-  ASSERT_TRUE(load_checkpoint_state(ckpt, header_for(campaign), &state));
-  ASSERT_EQ(state.runs.size(), 3u);
-  EXPECT_EQ(state.runs[0].index, 0u);
-  EXPECT_EQ(state.runs[1].index, 2u);
-  EXPECT_EQ(state.runs[2].index, 3u);
-  EXPECT_EQ(state.aggregate.runs, 3u);
+  EXPECT_THROW(load_checkpoint_state(ckpt, header_for(campaign), &state),
+               std::runtime_error);
+  CampaignRunOptions options;
+  options.checkpoint_path = ckpt;
+  EXPECT_THROW(
+      campaign.run_sharded(ParallelRunner(1), options, synthetic_task),
+      std::runtime_error);
   std::remove(ckpt.c_str());
-  std::remove(journal_path_for(ckpt).c_str());
 }
 
 TEST(CheckpointJournal, JournalRecordOutsideTheSliceIsRejected) {
@@ -273,13 +250,13 @@ TEST(CheckpointJournal, JournalRecordOutsideTheSliceIsRejected) {
   const Campaign campaign(8, kSeed);
   const JournalHeader header = header_for(campaign, ShardSpec{0, 2});
   {
-    JournalWriter writer(journal_path_for(ckpt), header);
+    JournalWriter writer(ckpt, header);
     writer.append({3, synthetic_result(3)});  // 3 % 2 != 0: not shard 0's.
   }
   CampaignArtifact state;
   EXPECT_THROW(load_checkpoint_state(ckpt, header, &state),
                std::runtime_error);
-  std::remove(journal_path_for(ckpt).c_str());
+  std::remove(ckpt.c_str());
 }
 
 // --- End-to-end campaign recovery ------------------------------------------
@@ -300,20 +277,15 @@ void crash_campaign(const Campaign& campaign, const CampaignRunOptions& options,
       std::runtime_error);
 }
 
-TEST(CheckpointJournal, ResumeFromJournalOnlyMatchesUninterrupted) {
-  // checkpoint_every larger than the campaign: no compaction ever runs,
-  // so at the crash *all* persisted state is journal appends.
-  const std::string ckpt = fresh_path("journal_only_resume.json");
+TEST(CheckpointJournal, CrashResumeMatchesUninterrupted) {
+  const std::string ckpt = fresh_path("journal_resume.json");
   const Campaign campaign(kTasks, kSeed);
   CampaignRunOptions options;
   options.keep_runs = true;
   options.checkpoint_path = ckpt;
-  options.checkpoint_every = 10'000;
 
   constexpr unsigned kCrashAfter = 17;
   crash_campaign(campaign, options, kCrashAfter);
-  EXPECT_FALSE(file_exists(ckpt));  // never compacted...
-  EXPECT_TRUE(file_exists(journal_path_for(ckpt)));  // ...only journaled.
 
   std::atomic<unsigned> resumed{0};
   const CampaignArtifact artifact = campaign.run_sharded(
@@ -323,9 +295,6 @@ TEST(CheckpointJournal, ResumeFromJournalOnlyMatchesUninterrupted) {
       });
   EXPECT_EQ(resumed.load(), kTasks - kCrashAfter);
   EXPECT_EQ(to_json(artifact), reference_json());
-  // A finished checkpoint is a plain snapshot, journal gone.
-  EXPECT_FALSE(file_exists(journal_path_for(ckpt)));
-  EXPECT_TRUE(file_exists(ckpt));
   std::remove(ckpt.c_str());
 }
 
@@ -335,13 +304,11 @@ TEST(CheckpointJournal, CrashMidAppendResumesAndRerunsTheTornTask) {
   CampaignRunOptions options;
   options.keep_runs = true;
   options.checkpoint_path = ckpt;
-  options.checkpoint_every = 10'000;  // journal-only state at the crash.
 
   constexpr unsigned kCrashAfter = 12;
   crash_campaign(campaign, options, kCrashAfter);
   // Tear the last append mid-record, as a crash inside fwrite would.
-  const std::string journal = journal_path_for(ckpt);
-  truncate_to(journal, file_size(journal) - 25);
+  truncate_to(ckpt, file_size(ckpt) - 25);
 
   std::atomic<unsigned> resumed{0};
   const CampaignArtifact artifact = campaign.run_sharded(
@@ -355,72 +322,74 @@ TEST(CheckpointJournal, CrashMidAppendResumesAndRerunsTheTornTask) {
   std::remove(ckpt.c_str());
 }
 
-TEST(CheckpointJournal, CompactionCadenceNeverChangesTheBytes) {
-  // The same crash+resume at aggressive, default-ish and never-compacting
-  // cadences: identical final bytes, so compaction ≡ no compaction.
-  for (const std::uint64_t every : {1ull, 5ull, 10'000ull}) {
-    const std::string ckpt =
-        fresh_path("journal_cadence_" + std::to_string(every) + ".json");
-    const Campaign campaign(kTasks, kSeed);
-    CampaignRunOptions options;
-    options.keep_runs = true;
-    options.checkpoint_path = ckpt;
-    options.checkpoint_every = every;
-    crash_campaign(campaign, options, 23);
-    const CampaignArtifact artifact =
-        campaign.run_sharded(ParallelRunner(1), options, synthetic_task);
-    EXPECT_EQ(to_json(artifact), reference_json()) << "every=" << every;
-    std::remove(ckpt.c_str());
-  }
-}
-
-TEST(CheckpointJournal, CompletedCheckpointEqualsTheArtifactBytes) {
-  const std::string ckpt = fresh_path("journal_final_snapshot.json");
-  const std::string out = fresh_path("journal_final_out.json");
+TEST(CheckpointJournal, FinishedCheckpointRerunsNothing) {
+  const std::string ckpt = fresh_path("journal_finished.json");
+  const std::string out = fresh_path("journal_finished_out.json");
   const Campaign campaign(kTasks, kSeed);
   CampaignRunOptions options;
+  options.keep_runs = true;
   options.checkpoint_path = ckpt;
-  options.checkpoint_every = 3;
   options.out_path = out;
   campaign.run_sharded(ParallelRunner(4), options, synthetic_task);
-  // The finished checkpoint is byte-for-byte the --out artifact: any
-  // pre-journal reader (or merge tooling) can consume it directly.
-  EXPECT_EQ(to_json(read_artifact_file(ckpt)), reference_json());
-  EXPECT_EQ(to_json(read_artifact_file(out)), reference_json());
-  EXPECT_FALSE(file_exists(journal_path_for(ckpt)));
+  const std::string finished = read_file(ckpt);
+  std::remove(out.c_str());
+
+  // A complete journal: the re-run simulates nothing, returns and
+  // rewrites the reference bytes, and appends nothing.
+  std::atomic<unsigned> rerun{0};
+  const CampaignArtifact again = campaign.run_sharded(
+      ParallelRunner(4), options, [&](std::size_t i, std::uint64_t seed) {
+        ++rerun;
+        return synthetic_task(i, seed);
+      });
+  EXPECT_EQ(rerun.load(), 0u);
+  EXPECT_EQ(to_json(again), reference_json());
+  EXPECT_EQ(read_file(out), reference_json());
+  EXPECT_EQ(read_file(ckpt), finished);
   std::remove(ckpt.c_str());
   std::remove(out.c_str());
 }
 
-TEST(CheckpointJournal, LegacySnapshotCheckpointStillLoads) {
-  // A pre-journal checkpoint is a whole artifact at the checkpoint path
-  // with nothing beside it. Resume must honour it unchanged.
-  const std::string ckpt = fresh_path("journal_legacy.json");
+TEST(CheckpointJournal, NonJournalFileIsRefusedAndLeftUntouched) {
+  // The checkpoint path is a name the user picks, so it can name any
+  // file — the campaign's own --out artifact, say. Anything whose first
+  // line is not a journal header must make the run throw, naming the
+  // file, and must survive byte for byte: a one-line file must not be
+  // mistaken for a torn append and truncated away.
   const Campaign campaign(kTasks, kSeed);
-
-  const CampaignArtifact reference = artifact_from_json(reference_json());
-  CampaignArtifact legacy;
-  legacy.seed = reference.seed;
-  legacy.tasks = reference.tasks;
-  constexpr std::size_t kAlreadyDone = 20;
-  for (std::size_t i = 0; i < kAlreadyDone; ++i) {
-    legacy.runs.push_back(reference.runs[i]);
-    legacy.aggregate.absorb(legacy.runs.back().result);
+  CampaignArtifact empty;
+  empty.seed = kSeed;
+  empty.tasks = kTasks;
+  const std::string header_line = [&] {
+    const std::string path = fresh_path("journal_header_only.json");
+    { JournalWriter writer(path, header_for(campaign)); }
+    std::string line = read_file(path);
+    std::remove(path.c_str());
+    return line;
+  }();
+  const struct {
+    const char* name;
+    std::string bytes;
+  } cases[] = {
+      {"multi-run artifact", reference_json()},
+      {"zero-run artifact", to_json(empty)},
+      {"header cut short", header_line.substr(0, header_line.size() / 2)},
+  };
+  for (const auto& c : cases) {
+    const std::string ckpt = fresh_path("journal_refused.json");
+    write_file(ckpt, c.bytes);
+    CampaignRunOptions options;
+    options.checkpoint_path = ckpt;
+    try {
+      campaign.run_sharded(ParallelRunner(1), options, synthetic_task);
+      ADD_FAILURE() << c.name << ": resumed from a non-journal file";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(ckpt), std::string::npos)
+          << c.name << ": " << e.what();
+    }
+    EXPECT_EQ(read_file(ckpt), c.bytes) << c.name;
+    std::remove(ckpt.c_str());
   }
-  write_artifact_file(ckpt, legacy);
-
-  CampaignRunOptions options;
-  options.keep_runs = true;
-  options.checkpoint_path = ckpt;
-  std::atomic<unsigned> resumed{0};
-  const CampaignArtifact artifact = campaign.run_sharded(
-      ParallelRunner(1), options, [&](std::size_t i, std::uint64_t seed) {
-        ++resumed;
-        return synthetic_task(i, seed);
-      });
-  EXPECT_EQ(resumed.load(), kTasks - kAlreadyDone);
-  EXPECT_EQ(to_json(artifact), reference_json());
-  std::remove(ckpt.c_str());
 }
 
 TEST(CheckpointJournal, ShardedCrashResumeStillMergesByteIdentically) {
@@ -437,7 +406,6 @@ TEST(CheckpointJournal, ShardedCrashResumeStillMergesByteIdentically) {
     options.shard = ShardSpec{k, kShards};
     options.keep_runs = true;
     options.checkpoint_path = ckpt;
-    options.checkpoint_every = 2;
     crash_campaign(campaign, options, static_cast<unsigned>(3 + k));
     shards.push_back(
         campaign.run_sharded(ParallelRunner(2), options, synthetic_task));

@@ -1,6 +1,6 @@
 // Tests for concurrent checker replay: the runtime::CheckerPool ticket
 // pipeline, the sim::SegmentPipeline produce/absorb split behind
-// CheckedSystem, and the SimJob entry point. The load-bearing property is
+// sim::run_job, and the SimJob entry point. The load-bearing property is
 // that every simulation artifact is *byte-identical* at any
 // --checker-threads value (and any --jobs value): concurrency may only
 // change wall-clock, never results.
@@ -71,16 +71,26 @@ isa::Assembled assemble_fixture() {
   return assembled;
 }
 
+/// The checked Table I system over 50,000 instructions, replaying on
+/// `threads` workers (0 = inline).
+sim::SimJob checked_job(unsigned threads) {
+  sim::SimJob job;
+  job.config = SystemConfig::standard();
+  job.mode = sim::SimMode::kChecked;
+  job.max_instructions = 50000;
+  job.checker = threads;
+  return job;
+}
+
 // --- Determinism matrix ----------------------------------------------------
 
 TEST(ConcurrentReplay, RunResultByteIdenticalAcrossThreadCounts) {
   const auto assembled = assemble_fixture();
-  const SystemConfig config = SystemConfig::standard();
-  const std::string inline_json = runtime::to_json(
-      sim::run_program(config, assembled, 50000, nullptr, /*threads=*/0));
+  const std::string inline_json =
+      runtime::to_json(sim::run_job(checked_job(0), assembled));
   for (const unsigned threads : {1u, 4u}) {
-    const std::string concurrent_json = runtime::to_json(
-        sim::run_program(config, assembled, 50000, nullptr, threads));
+    const std::string concurrent_json =
+        runtime::to_json(sim::run_job(checked_job(threads), assembled));
     EXPECT_EQ(inline_json, concurrent_json)
         << "results diverged at checker_threads=" << threads;
   }
@@ -99,9 +109,10 @@ TEST(ConcurrentReplay, WorkloadSweepInvariantAcrossThreadsAndJobs) {
         runner, runtime::CampaignRunOptions{},
         [&](std::size_t point, std::size_t, const runtime::AssemblyCache::Image& image,
             std::uint64_t) {
-          SystemConfig config = SystemConfig::standard();
-          config.checker.freq_mhz = point == 0 ? 500 : 1000;
-          return sim::run_program(config, image, kBudget, nullptr, threads);
+          sim::SimJob job = checked_job(threads);
+          job.config.checker.freq_mhz = point == 0 ? 500 : 1000;
+          job.max_instructions = kBudget;
+          return sim::run_job(job, image);
         });
     std::string bytes;
     for (std::size_t p = 0; p < 2; ++p) {
@@ -124,8 +135,7 @@ TEST(ConcurrentReplay, FaultDetectionInvariantAcrossThreadCounts) {
   // event, the recovery checkpoint and the surviving undo records must not
   // depend on the replay thread count — and recovery must still work.
   const auto assembled = assemble_fixture();
-  const auto clean =
-      sim::run_program(SystemConfig::standard(), assembled, 50000);
+  const auto clean = sim::run_job(checked_job(0), assembled);
 
   struct FaultyRun {
     sim::RunResult result;
@@ -139,10 +149,12 @@ TEST(ConcurrentReplay, FaultDetectionInvariantAcrossThreadCounts) {
     spec.bit = 9;
     faults.add(spec);
     sim::LoadedProgram program = sim::load_program(assembled);
-    sim::CheckedSystem system(SystemConfig::standard(), threads);
     core::UndoLog undo;
+    sim::SimJob job = checked_job(threads);
+    job.faults = &faults;
+    job.undo_log = &undo;
     FaultyRun run;
-    run.result = system.run(program, 50000, &faults, &undo);
+    run.result = sim::run_job(job, program);
     run.undo = undo.records();
     return run;
   };
@@ -181,9 +193,11 @@ TEST(ConcurrentReplay, FaultDetectionInvariantAcrossThreadCounts) {
   spec.bit = 9;
   faults.add(spec);
   sim::LoadedProgram program = sim::load_program(assembled);
-  sim::CheckedSystem system(SystemConfig::standard(), /*checker_threads=*/4);
   core::UndoLog undo;
-  const auto faulty = system.run(program, 50000, &faults, &undo);
+  sim::SimJob job = checked_job(/*threads=*/4);
+  job.faults = &faults;
+  job.undo_log = &undo;
+  const auto faulty = sim::run_job(job, program);
   ASSERT_TRUE(faulty.recovery_checkpoint.has_value());
   const auto outcome = core::recover_and_replay(
       program.memory, undo, faulty.first_error->segment_ordinal,
@@ -196,19 +210,6 @@ TEST(ConcurrentReplay, FaultDetectionInvariantAcrossThreadCounts) {
 
 // --- SimJob entry point ----------------------------------------------------
 
-TEST(SimJob, CheckedModeMatchesLegacyWrapper) {
-  const auto assembled = assemble_fixture();
-  sim::SimJob job;
-  job.config = SystemConfig::standard();
-  job.mode = sim::SimMode::kChecked;
-  job.max_instructions = 50000;
-  job.checker = 2;
-  const auto via_job = sim::run_job(job, assembled);
-  const auto via_wrapper =
-      sim::run_program(SystemConfig::standard(), assembled, 50000);
-  EXPECT_EQ(runtime::to_json(via_job), runtime::to_json(via_wrapper));
-}
-
 TEST(SimJob, ApplyModeSetsDetectionSwitches) {
   const SystemConfig base = SystemConfig::standard();
   const SystemConfig baseline = sim::apply_mode(base, sim::SimMode::kBaseline);
@@ -217,25 +218,26 @@ TEST(SimJob, ApplyModeSetsDetectionSwitches) {
       sim::apply_mode(base, sim::SimMode::kCheckpointOnly);
   EXPECT_TRUE(ckpt.detection.enabled);
   EXPECT_FALSE(ckpt.detection.simulate_checkers);
-  const SystemConfig checked = sim::apply_mode(
-      SystemConfig::baseline_unchecked(), sim::SimMode::kChecked);
+  SystemConfig off = base;
+  off.detection.enabled = false;
+  off.detection.simulate_checkers = false;
+  const SystemConfig checked = sim::apply_mode(off, sim::SimMode::kChecked);
   EXPECT_TRUE(checked.detection.enabled);
   EXPECT_TRUE(checked.detection.simulate_checkers);
 }
 
 TEST(SimJob, BaselineModeDisablesDetection) {
   const auto assembled = assemble_fixture();
-  sim::SimJob job;
-  job.config = SystemConfig::standard();
+  sim::SimJob job = checked_job(0);
   job.mode = sim::SimMode::kBaseline;
-  job.max_instructions = 50000;
   const auto result = sim::run_job(job, assembled);
   EXPECT_EQ(result.segments, 0u);
-  // Equivalent to flipping the master switch by hand.
-  SystemConfig manual = SystemConfig::standard();
-  manual.detection.enabled = false;
+  // With detection off nothing reads the other detection switches, so a
+  // baseline needs no config of its own: clearing them changes no byte.
+  job.config.detection.simulate_checkers = false;
+  job.config.detection.load_forwarding_unit = false;
   EXPECT_EQ(runtime::to_json(result),
-            runtime::to_json(sim::run_program(manual, assembled, 50000)));
+            runtime::to_json(sim::run_job(job, assembled)));
 }
 
 // --- CheckerPool ------------------------------------------------------------

@@ -15,6 +15,17 @@ using core::FaultInjector;
 using core::FaultSite;
 using core::FaultSpec;
 
+/// Every run here: the checked Table I system over 50,000 instructions,
+/// with `faults` injected (null: fault-free).
+SimJob checked_job(FaultInjector* faults) {
+  SimJob job;
+  job.config = SystemConfig::standard();
+  job.mode = SimMode::kChecked;
+  job.max_instructions = 50000;
+  job.faults = faults;
+  return job;
+}
+
 constexpr const char* kProgram = R"(
 _start:
   li   t0, 500
@@ -96,8 +107,7 @@ TEST_P(FaultMatrix, DetectedOrHarmless) {
   const auto assembled = isa::assemble(kProgram);
   ASSERT_TRUE(assembled.ok) << assembled.errors[0];
 
-  const RunResult clean =
-      run_program(SystemConfig::standard(), assembled, 50000);
+  const RunResult clean = run_job(checked_job(nullptr), assembled);
   ASSERT_FALSE(clean.error_detected);
 
   FaultInjector faults;
@@ -110,8 +120,7 @@ TEST_P(FaultMatrix, DetectedOrHarmless) {
   spec.checker_local_index = 17;
   faults.add(spec);
 
-  const RunResult faulty =
-      run_program(SystemConfig::standard(), assembled, 50000, &faults);
+  const RunResult faulty = run_job(checked_job(&faults), assembled);
 
   if (fault_case.must_detect) {
     EXPECT_TRUE(faulty.error_detected) << fault_case.name;
@@ -136,14 +145,12 @@ TEST(FaultCoverage, StoreFaultAtManySeqsAlwaysDetected) {
     spec.at_seq = seq;
     spec.bit = seq % 64;
     faults.add(spec);
-    const RunResult result =
-        run_program(SystemConfig::standard(), assembled, 50000, &faults);
+    const RunResult result = run_job(checked_job(&faults), assembled);
     // The chosen seqs might not be stores; detection fires only when the
     // fault actually triggered on a store. Verify no-SDC always, and
     // detection when the store checksum changed.
     if (!result.error_detected) {
-      const RunResult clean =
-          run_program(SystemConfig::standard(), assembled, 50000);
+      const RunResult clean = run_job(checked_job(nullptr), assembled);
       EXPECT_EQ(arch::first_register_difference(result.final_state,
                                                 clean.final_state),
                 -1)
@@ -165,8 +172,7 @@ TEST(FaultCoverage, PreLfuLoadFaultIsOutsideSphereOfCoverage) {
   spec.at_seq = load_seq(181);
   spec.bit = 5;
   faults.add(spec);
-  const RunResult result =
-      run_program(SystemConfig::standard(), assembled, 50000, &faults);
+  const RunResult result = run_job(checked_job(&faults), assembled);
   EXPECT_FALSE(result.error_detected);
 }
 
@@ -186,18 +192,16 @@ TEST(FaultCoverage, LfuClosesTheWindowOfVulnerability) {
   spec.bit = 3;
   faults.add(spec);
 
-  SystemConfig with_lfu = SystemConfig::standard();
-  const RunResult protected_run =
-      run_program(with_lfu, assembled, 50000, &faults);
+  const RunResult protected_run = run_job(checked_job(&faults), assembled);
   EXPECT_TRUE(protected_run.error_detected);
 
-  SystemConfig without_lfu = SystemConfig::standard();
-  without_lfu.detection.load_forwarding_unit = false;
-  const RunResult naive_run =
-      run_program(without_lfu, assembled, 50000, &faults);
+  SimJob naive = checked_job(&faults);
+  naive.config.detection.load_forwarding_unit = false;
+  const RunResult naive_run = run_job(naive, assembled);
   EXPECT_FALSE(naive_run.error_detected);
   // And the silent corruption is real: outputs differ from the clean run.
-  const RunResult clean = run_program(without_lfu, assembled, 50000);
+  naive.faults = nullptr;
+  const RunResult clean = run_job(naive, assembled);
   EXPECT_NE(arch::first_register_difference(naive_run.final_state,
                                             clean.final_state),
             -1);
@@ -216,8 +220,7 @@ TEST(FaultCoverage, CheckpointCorruptionDetectedEvenIfDead) {
   spec.reg = 28;  // t3 is rewritten every iteration; mid-segment it's live
   spec.bit = 60;  // in the checkpoint image regardless.
   faults.add(spec);
-  const RunResult result =
-      run_program(SystemConfig::standard(), assembled, 50000, &faults);
+  const RunResult result = run_job(checked_job(&faults), assembled);
   EXPECT_TRUE(result.error_detected);
   ASSERT_TRUE(result.first_error.has_value());
   EXPECT_EQ(result.first_error->kind, core::DetectionKind::kRegisterMismatch);
@@ -237,8 +240,7 @@ TEST(FaultCoverage, HardAluFaultDetectedRepeatedly) {
   spec.bit = 7;
   spec.stuck_value = true;
   faults.add(spec);
-  const RunResult result =
-      run_program(SystemConfig::standard(), assembled, 50000, &faults);
+  const RunResult result = run_job(checked_job(&faults), assembled);
   EXPECT_TRUE(result.error_detected);
 }
 
@@ -258,8 +260,7 @@ TEST(FaultCoverage, FirstErrorOrderingUnderTwoFaults) {
   late.at_seq = store_seq(360);
   late.bit = 9;
   faults.add(late);
-  const RunResult result =
-      run_program(SystemConfig::standard(), assembled, 50000, &faults);
+  const RunResult result = run_job(checked_job(&faults), assembled);
   ASSERT_TRUE(result.error_detected);
   // The reported first error must come from the earlier fault.
   EXPECT_LE(result.first_error->around_seq, store_seq(90) + 11);
@@ -274,8 +275,7 @@ TEST(FaultCoverage, ErrorsDetectedWithinBoundedDelay) {
   spec.at_seq = store_seq(181);
   spec.bit = 1;
   faults.add(spec);
-  const RunResult result =
-      run_program(SystemConfig::standard(), assembled, 50000, &faults);
+  const RunResult result = run_job(checked_job(&faults), assembled);
   ASSERT_TRUE(result.error_detected);
   // Detection happens while the program still runs or shortly after:
   // within the all-checked horizon.

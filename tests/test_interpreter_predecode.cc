@@ -65,7 +65,11 @@ std::string random_program(std::uint64_t seed) {
   std::string body;
   int label = 0;
   const auto x = [&] {
-    return "x" + std::to_string(5 + rng.next_below(12));
+    // Built with += : gcc 12's -O3 -Wrestrict misfires on
+    // `"x" + std::to_string(...)`.
+    std::string name = "x";
+    name += std::to_string(5 + rng.next_below(12));
+    return name;
   };
   const unsigned ops = 16 + static_cast<unsigned>(rng.next_below(24));
   for (unsigned i = 0; i < ops; ++i) {
@@ -181,10 +185,13 @@ TEST_P(PredecodeEquivalence, GoldenRunsIdenticalEitherPath) {
   EXPECT_EQ(fast.predecoded_hits, slow.fallback_decodes);
 }
 
-TEST_P(PredecodeEquivalence, CheckedSystemArtifactIdenticalEitherPath) {
+TEST_P(PredecodeEquivalence, RunJobArtifactIdenticalEitherPath) {
   const isa::Assembled assembled = isa::assemble(random_program(GetParam()));
   ASSERT_TRUE(assembled.ok);
-  const SystemConfig config = SystemConfig::standard();
+  sim::SimJob job;
+  job.config = SystemConfig::standard();
+  job.mode = sim::SimMode::kChecked;
+  job.max_instructions = 200000;
 
   // Fast path: the normal loader (predecoded image + statics + flat
   // memory). Slow path: a hand-built LoadedProgram with none of them.
@@ -193,10 +200,8 @@ TEST_P(PredecodeEquivalence, CheckedSystemArtifactIdenticalEitherPath) {
   slow.memory = load_memory(assembled);
   slow.entry = assembled.entry;
 
-  const sim::RunResult fast_result =
-      sim::CheckedSystem(config).run(fast, 200000);
-  const sim::RunResult slow_result =
-      sim::CheckedSystem(config).run(slow, 200000);
+  const sim::RunResult fast_result = sim::run_job(job, fast);
+  const sim::RunResult slow_result = sim::run_job(job, slow);
 
   EXPECT_EQ(fast_result.exit_trap, arch::Trap::kHalt);
   // Byte-identical serialized results: same instructions, cycles, traps,

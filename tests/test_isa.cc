@@ -101,11 +101,15 @@ TEST_P(AllOpcodes, ClassificationIsConsistent) {
   // An op never writes both register files.
   EXPECT_FALSE(writes_int_reg(op) && writes_fp_reg(op));
   // Control ops write no fp registers.
-  if (is_control(op)) EXPECT_FALSE(writes_fp_reg(op));
+  if (is_control(op)) {
+    EXPECT_FALSE(writes_fp_reg(op));
+  }
   // Latency is at least one cycle and unpipelined classes are the slow ones.
   const ExecClass cls = exec_class(op);
   EXPECT_GE(exec_latency(cls), 1u);
-  if (exec_unpipelined(cls)) EXPECT_GT(exec_latency(cls), 4u);
+  if (exec_unpipelined(cls)) {
+    EXPECT_GT(exec_latency(cls), 4u);
+  }
 }
 
 TEST_P(AllOpcodes, DisassemblyMentionsMnemonic) {

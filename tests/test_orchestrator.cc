@@ -36,11 +36,11 @@ OrchestratorOptions options_under(const std::string& run_dir) {
 TEST(Orchestrator, ShardArgvAppendsTheCampaignFlagsLast) {
   const OrchestratorOptions options = options_under("/tmp/run");
   const std::vector<std::string> argv =
-      shard_argv({"./bench_fig09", "--scale=0.05", "--checkpoint-every=1"},
+      shard_argv({"./bench_fig09", "--scale=0.05", "--benchmark=randacc"},
                  options, 1);
   const std::vector<std::string> expected = {
       "./bench_fig09",          "--scale=0.05",
-      "--checkpoint-every=1",   "--jobs=4",
+      "--benchmark=randacc",    "--jobs=4",
       "--shard=1/3",            "--out=/tmp/run/shard_1.json",
       "--checkpoint=/tmp/run/shard_1.ckpt.json",
   };
@@ -48,14 +48,13 @@ TEST(Orchestrator, ShardArgvAppendsTheCampaignFlagsLast) {
 }
 
 TEST(Orchestrator, ShardArgvDropsCallerCampaignFlags) {
-  // The orchestrator owns sharding/artifact/checkpoint paths. A caller's
-  // own spellings — --journal especially, which drivers reject alongside
-  // the appended --checkpoint — must be dropped, not passed through to
-  // make every shard exit 2.
+  // The orchestrator owns sharding/artifact/checkpoint paths: a caller's
+  // own spellings are dropped, not passed through beside the appended
+  // ones.
   const OrchestratorOptions options = options_under("/tmp/run");
   const std::vector<std::string> argv = shard_argv(
-      {"./bench_fig09", "--journal=mine.json", "--scale=0.05",
-       "--shard=0/9", "--out=mine.json", "--checkpoint=mine.ckpt"},
+      {"./bench_fig09", "--scale=0.05", "--shard=0/9", "--out=mine.json",
+       "--checkpoint=mine.ckpt"},
       options, 0);
   const std::vector<std::string> expected = {
       "./bench_fig09", "--scale=0.05",
@@ -88,31 +87,21 @@ TEST(Orchestrator, StragglerPolicyWaitsForAQuorum) {
   EXPECT_FALSE(is_straggler(0.05, {0.001, 0.001}, 2, 2.0));
 }
 
-TEST(Orchestrator, CheckpointProgressSeesSnapshotOrJournaledRecord) {
+TEST(Orchestrator, CheckpointProgressSeesAJournaledRecord) {
   const std::string ckpt =
       testing::TempDir() + "/paradet_orch_progress.json";
-  const std::string journal = journal_path_for(ckpt);
   std::remove(ckpt.c_str());
-  std::remove(journal.c_str());
 
   // Nothing on disk: no progress.
   EXPECT_FALSE(checkpoint_has_progress(ckpt));
 
   // A header-only journal is an empty checkpoint: still no progress.
   const JournalHeader header{1, 8, 0, ShardSpec{}};
-  JournalWriter writer(journal, header);
+  JournalWriter writer(ckpt, header);
   EXPECT_FALSE(checkpoint_has_progress(ckpt));
 
   // One journaled record is resumable progress.
   writer.append({0, sim::RunResult{}});
-  EXPECT_TRUE(checkpoint_has_progress(ckpt));
-
-  // A snapshot alone (legacy or compacted) is progress too.
-  std::remove(journal.c_str());
-  CampaignArtifact snapshot;
-  snapshot.seed = 1;
-  snapshot.tasks = 8;
-  write_artifact_file(ckpt, snapshot);
   EXPECT_TRUE(checkpoint_has_progress(ckpt));
   std::remove(ckpt.c_str());
 }

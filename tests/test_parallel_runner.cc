@@ -158,51 +158,62 @@ TEST(CampaignAggregate, MergeMatchesSequentialAbsorb) {
   EXPECT_EQ(whole.counters.sorted(), left.counters.sorted());
 }
 
-/// The acceptance campaign: 64 random transient strikes on a small kernel.
-/// Every task derives its fault spec purely from its task seed.
-CampaignResult run_fault_campaign(unsigned jobs) {
-  const SystemConfig config = SystemConfig::standard();
+/// The acceptance campaign: 64 random transient strikes on a small kernel,
+/// every run kept. Every task derives its fault spec purely from its task
+/// seed.
+CampaignArtifact run_fault_campaign(unsigned jobs) {
+  sim::SimJob job;
+  job.config = SystemConfig::standard();
+  job.mode = sim::SimMode::kChecked;
+  job.max_instructions = 200'000;
   const auto workload =
       workloads::make_freqmine(workloads::Scale{.factor = 0.02});
   const auto assembled = workloads::assemble_or_die(workload);
-  const auto clean = sim::run_program(config, assembled, 200'000);
+  const auto clean = sim::run_job(job, assembled);
 
   const Campaign campaign(/*tasks=*/64, /*seed=*/0x5EEDFULL);
   const ParallelRunner runner(jobs);
-  return campaign.run(runner, [&](std::size_t, std::uint64_t task_seed) {
-    SplitMix64 rng(task_seed);
-    const core::FaultSite site_pool[] = {
-        core::FaultSite::kMainArchReg,
-        core::FaultSite::kMainStoreValue,
-        core::FaultSite::kMainLoadValuePostLfu,
-    };
-    core::FaultInjector faults;
-    core::FaultSpec spec;
-    spec.site = site_pool[rng.next_below(std::size(site_pool))];
-    spec.at_seq =
-        100 + rng.next_below(clean.uops > 200 ? clean.uops - 200 : 1);
-    spec.reg = 5 + static_cast<unsigned>(rng.next_below(25));
-    spec.bit = static_cast<unsigned>(rng.next_below(64));
-    faults.add(spec);
-    return sim::run_program(config, assembled, 200'000, &faults);
-  });
+  CampaignRunOptions options;
+  options.keep_runs = true;
+  return campaign.run_sharded(
+      runner, options, [&](std::size_t, std::uint64_t task_seed) {
+        SplitMix64 rng(task_seed);
+        const core::FaultSite site_pool[] = {
+            core::FaultSite::kMainArchReg,
+            core::FaultSite::kMainStoreValue,
+            core::FaultSite::kMainLoadValuePostLfu,
+        };
+        core::FaultInjector faults;
+        core::FaultSpec spec;
+        spec.site = site_pool[rng.next_below(std::size(site_pool))];
+        spec.at_seq =
+            100 + rng.next_below(clean.uops > 200 ? clean.uops - 200 : 1);
+        spec.reg = 5 + static_cast<unsigned>(rng.next_below(25));
+        spec.bit = static_cast<unsigned>(rng.next_below(64));
+        faults.add(spec);
+        sim::SimJob struck = job;
+        struck.faults = &faults;
+        return sim::run_job(struck, assembled);
+      });
 }
 
 TEST(Campaign, MergedStatsBitIdenticalAcrossJobLevels) {
-  const CampaignResult serial = run_fault_campaign(1);
-  const CampaignResult parallel = run_fault_campaign(8);
+  const CampaignArtifact serial = run_fault_campaign(1);
+  const CampaignArtifact parallel = run_fault_campaign(8);
 
   ASSERT_EQ(serial.runs.size(), 64u);
   ASSERT_EQ(parallel.runs.size(), 64u);
 
   // Per-task results land in the same slots regardless of scheduling.
   for (std::size_t i = 0; i < serial.runs.size(); ++i) {
-    EXPECT_EQ(serial.runs[i].main_done_cycle,
-              parallel.runs[i].main_done_cycle);
-    EXPECT_EQ(serial.runs[i].instructions, parallel.runs[i].instructions);
-    EXPECT_EQ(serial.runs[i].error_detected,
-              parallel.runs[i].error_detected);
-    EXPECT_EQ(serial.runs[i].final_state.pc, parallel.runs[i].final_state.pc);
+    const sim::RunResult& a = serial.runs[i].result;
+    const sim::RunResult& b = parallel.runs[i].result;
+    EXPECT_EQ(serial.runs[i].index, i);
+    EXPECT_EQ(parallel.runs[i].index, i);
+    EXPECT_EQ(a.main_done_cycle, b.main_done_cycle);
+    EXPECT_EQ(a.instructions, b.instructions);
+    EXPECT_EQ(a.error_detected, b.error_detected);
+    EXPECT_EQ(a.final_state.pc, b.final_state.pc);
   }
 
   // Merged aggregates are bit-identical: exact equality on the floating

@@ -30,12 +30,19 @@ std::string random_program(std::uint64_t seed) {
   SplitMix64 rng(seed);
   std::string body;
   int label = 0;
+  // Register names are built with += : gcc 12's -O3 -Wrestrict misfires
+  // on `"x" + std::to_string(...)`.
   const auto x = [&](int lo, int hi) {
-    return "x" + std::to_string(lo + static_cast<int>(rng.next_below(
-                                         static_cast<std::uint64_t>(
-                                             hi - lo + 1))));
+    std::string name = "x";
+    name += std::to_string(lo + static_cast<int>(rng.next_below(
+                                    static_cast<std::uint64_t>(hi - lo + 1))));
+    return name;
   };
-  const auto f = [&]() { return "f" + std::to_string(rng.next_below(10)); };
+  const auto f = [&]() {
+    std::string name = "f";
+    name += std::to_string(rng.next_below(10));
+    return name;
+  };
   const unsigned ops = 24 + static_cast<unsigned>(rng.next_below(32));
   for (unsigned i = 0; i < ops; ++i) {
     switch (rng.next_below(14)) {
@@ -177,6 +184,15 @@ std::int64_t find_store_seq(const isa::Assembled& assembled,
   return -1;
 }
 
+/// The checked Table I system over 100,000 instructions, fault-free.
+sim::SimJob checked_job() {
+  sim::SimJob job;
+  job.config = SystemConfig::standard();
+  job.mode = sim::SimMode::kChecked;
+  job.max_instructions = 100000;
+  return job;
+}
+
 class RandomPrograms : public ::testing::TestWithParam<std::uint64_t> {};
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomPrograms, ::testing::Range<std::uint64_t>(0, 20));
@@ -185,8 +201,7 @@ TEST_P(RandomPrograms, P1_EquivalenceAndNoFalsePositives) {
   const auto assembled = isa::assemble(random_program(GetParam()));
   ASSERT_TRUE(assembled.ok) << assembled.errors[0];
   const Golden golden = golden_state(assembled, 100000);
-  const sim::RunResult checked =
-      sim::run_program(SystemConfig::standard(), assembled, 100000);
+  const sim::RunResult checked = sim::run_job(checked_job(), assembled);
   EXPECT_EQ(checked.exit_trap, arch::Trap::kHalt);
   EXPECT_FALSE(checked.error_detected)
       << checked.first_error->describe();
@@ -200,8 +215,8 @@ TEST_P(RandomPrograms, P2_NoSilentDataCorruptionUnderRegisterFaults) {
   const std::uint64_t seed = GetParam();
   const auto assembled = isa::assemble(random_program(seed));
   ASSERT_TRUE(assembled.ok);
-  const sim::RunResult clean =
-      sim::run_program(SystemConfig::standard(), assembled, 100000);
+  sim::SimJob job = checked_job();
+  const sim::RunResult clean = sim::run_job(job, assembled);
 
   SplitMix64 rng(seed * 7919 + 13);
   for (int trial = 0; trial < 4; ++trial) {
@@ -213,8 +228,8 @@ TEST_P(RandomPrograms, P2_NoSilentDataCorruptionUnderRegisterFaults) {
     spec.reg = 5 + static_cast<unsigned>(rng.next_below(13));
     spec.bit = static_cast<unsigned>(rng.next_below(64));
     faults.add(spec);
-    const sim::RunResult faulty = sim::run_program(
-        SystemConfig::standard(), assembled, 100000, &faults);
+    job.faults = &faults;
+    const sim::RunResult faulty = sim::run_job(job, assembled);
     EXPECT_NE(sim::classify_fault_outcome(clean, faulty),
               sim::FaultVerdict::kSilent)
         << "silent corruption: seed " << seed << " trial " << trial
@@ -235,8 +250,9 @@ TEST_P(RandomPrograms, P3_StoreCorruptionAlwaysDetected) {
   spec.at_seq = static_cast<UopSeq>(seq);
   spec.bit = static_cast<unsigned>(seed % 64);
   faults.add(spec);
-  const sim::RunResult faulty =
-      sim::run_program(SystemConfig::standard(), assembled, 100000, &faults);
+  sim::SimJob job = checked_job();
+  job.faults = &faults;
+  const sim::RunResult faulty = sim::run_job(job, assembled);
   EXPECT_TRUE(faulty.error_detected) << "seed " << seed << " seq " << seq;
   ASSERT_TRUE(faulty.first_error.has_value());
   EXPECT_EQ(faulty.first_error->kind,
@@ -245,16 +261,15 @@ TEST_P(RandomPrograms, P3_StoreCorruptionAlwaysDetected) {
 
 TEST_P(RandomPrograms, P1b_EquivalenceHoldsUnderSmallLogs) {
   // Stress segment churn: tiny segments, few checkers.
-  SystemConfig config = SystemConfig::standard();
-  config.log.total_bytes = 2 * 1024;
-  config.log.segments = 4;
-  config.checker.num_cores = 4;
-  config.log.instruction_timeout = 200;
+  sim::SimJob job = checked_job();
+  job.config.log.total_bytes = 2 * 1024;
+  job.config.log.segments = 4;
+  job.config.checker.num_cores = 4;
+  job.config.log.instruction_timeout = 200;
   const auto assembled = isa::assemble(random_program(GetParam()));
   ASSERT_TRUE(assembled.ok);
   const Golden golden = golden_state(assembled, 100000);
-  const sim::RunResult checked =
-      sim::run_program(config, assembled, 100000);
+  const sim::RunResult checked = sim::run_job(job, assembled);
   EXPECT_FALSE(checked.error_detected)
       << checked.first_error->describe();
   EXPECT_EQ(

@@ -67,13 +67,23 @@ TEST(UndoLogTest, DiscardDropsValidatedSegments) {
   EXPECT_EQ(log.records()[0].segment_ordinal, 2u);
 }
 
+/// The checked Table I system over 50,000 instructions.
+sim::SimJob checked_job() {
+  sim::SimJob job;
+  job.config = SystemConfig::standard();
+  job.mode = sim::SimMode::kChecked;
+  job.max_instructions = 50000;
+  return job;
+}
+
 TEST(Recovery, UndoDataDiscardedAsChecksValidate) {
   const auto assembled = isa::assemble(kProgram);
   ASSERT_TRUE(assembled.ok);
   sim::LoadedProgram program = sim::load_program(assembled);
-  sim::CheckedSystem system(SystemConfig::standard());
+  sim::SimJob job = checked_job();
   UndoLog undo;
-  const auto result = system.run(program, 50000, nullptr, &undo);
+  job.undo_log = &undo;
+  const auto result = sim::run_job(job, program);
   ASSERT_FALSE(result.error_detected);
   // All segments validated: only the final (drain) segment's records may
   // linger, bounded by one segment's stores.
@@ -85,8 +95,8 @@ TEST(Recovery, TransientFaultFullyCorrected) {
   ASSERT_TRUE(assembled.ok);
 
   // Golden result for comparison.
-  const auto clean =
-      sim::run_program(SystemConfig::standard(), assembled, 50000);
+  sim::SimJob job = checked_job();
+  const auto clean = sim::run_job(job, assembled);
   ASSERT_FALSE(clean.error_detected);
 
   // Faulty run with undo logging: a store-value strike mid-run.
@@ -97,9 +107,10 @@ TEST(Recovery, TransientFaultFullyCorrected) {
   spec.bit = 9;
   faults.add(spec);
   sim::LoadedProgram program = sim::load_program(assembled);
-  sim::CheckedSystem system(SystemConfig::standard());
   UndoLog undo;
-  const auto faulty = system.run(program, 50000, &faults, &undo);
+  job.faults = &faults;
+  job.undo_log = &undo;
+  const auto faulty = sim::run_job(job, program);
   ASSERT_TRUE(faulty.error_detected);
   ASSERT_TRUE(faulty.recovery_checkpoint.has_value());
   ASSERT_TRUE(faulty.first_error.has_value());
@@ -124,8 +135,8 @@ TEST(Recovery, TransientFaultFullyCorrected) {
 TEST(Recovery, RegisterFaultAlsoCorrected) {
   const auto assembled = isa::assemble(kProgram);
   ASSERT_TRUE(assembled.ok);
-  const auto clean =
-      sim::run_program(SystemConfig::standard(), assembled, 50000);
+  sim::SimJob job = checked_job();
+  const auto clean = sim::run_job(job, assembled);
 
   FaultInjector faults;
   FaultSpec spec;
@@ -135,9 +146,10 @@ TEST(Recovery, RegisterFaultAlsoCorrected) {
   spec.bit = 5;
   faults.add(spec);
   sim::LoadedProgram program = sim::load_program(assembled);
-  sim::CheckedSystem system(SystemConfig::standard());
   UndoLog undo;
-  const auto faulty = system.run(program, 50000, &faults, &undo);
+  job.faults = &faults;
+  job.undo_log = &undo;
+  const auto faulty = sim::run_job(job, program);
   ASSERT_TRUE(faulty.error_detected);
   ASSERT_TRUE(faulty.recovery_checkpoint.has_value());
 

@@ -29,10 +29,10 @@ namespace {
 constexpr std::size_t kTasks = 64;
 constexpr std::uint64_t kSeed = 0x5EEDFULL;
 
-/// Shared, immutable campaign fixture: the kernel image and its clean run
-/// (fault placement needs the clean uop count).
+/// Shared, immutable campaign fixture: the checked job, the kernel image
+/// and its clean run (fault placement needs the clean uop count).
 struct Fixture {
-  SystemConfig config = SystemConfig::standard();
+  sim::SimJob job;
   isa::Assembled assembled;
   sim::RunResult clean;
 };
@@ -40,10 +40,13 @@ struct Fixture {
 const Fixture& fixture() {
   static const Fixture* f = [] {
     auto* fx = new Fixture;
+    fx->job.config = SystemConfig::standard();
+    fx->job.mode = sim::SimMode::kChecked;
+    fx->job.max_instructions = 200'000;
     const auto workload =
         workloads::make_freqmine(workloads::Scale{.factor = 0.02});
     fx->assembled = workloads::assemble_or_die(workload);
-    fx->clean = sim::run_program(fx->config, fx->assembled, 200'000);
+    fx->clean = sim::run_job(fx->job, fx->assembled);
     return fx;
   }();
   return *f;
@@ -67,7 +70,9 @@ sim::RunResult fault_task(std::size_t, std::uint64_t task_seed) {
   spec.reg = 5 + static_cast<unsigned>(rng.next_below(25));
   spec.bit = static_cast<unsigned>(rng.next_below(64));
   faults.add(spec);
-  return sim::run_program(fx.config, fx.assembled, 200'000, &faults);
+  sim::SimJob job = fx.job;
+  job.faults = &faults;
+  return sim::run_job(job, fx.assembled);
 }
 
 /// The unsharded single-process artifact, serialized once: the byte-level
@@ -126,14 +131,12 @@ TEST(ShardMerge, ShardArtifactFilesSurviveTheDiskTrip) {
 TEST(ShardMerge, CheckpointResumeIsByteIdenticalToUninterrupted) {
   const std::string path = testing::TempDir() + "/paradet_checkpoint.json";
   std::remove(path.c_str());
-  std::remove(journal_path_for(path).c_str());
 
   const Campaign campaign(kTasks, kSeed);
   const ParallelRunner serial(1);
   CampaignRunOptions options;
   options.keep_runs = true;
   options.checkpoint_path = path;
-  options.checkpoint_every = 4;
 
   // Phase 1: the campaign dies after 20 completed tasks.
   constexpr unsigned kCrashAfter = 20;
@@ -149,9 +152,8 @@ TEST(ShardMerge, CheckpointResumeIsByteIdenticalToUninterrupted) {
       std::runtime_error);
 
   // The checkpoint on disk holds the whole partial campaign: every
-  // completion was journaled immediately (some already compacted into the
-  // snapshot, the rest appended at <path>.journal), so the resume state
-  // covers all 20 with the partial aggregate re-absorbed.
+  // completion was appended to the journal as it finished, so the resume
+  // state covers all 20 with the partial aggregate re-absorbed.
   CampaignArtifact checkpoint;
   ASSERT_TRUE(load_checkpoint_state(
       path, JournalHeader{kSeed, kTasks, 0, ShardSpec{}}, &checkpoint));
@@ -307,22 +309,27 @@ RuntimeOptions parse_args(std::vector<std::string> args,
 TEST(RuntimeOptionsFlags, ParsesShardOutAndCheckpoint) {
   const RuntimeOptions options =
       parse_args({"--jobs=4", "--shard=2/5", "--out=s2.json",
-                  "--checkpoint=ckpt.json", "--checkpoint-every=7",
-                  "positional", "--unrelated=x"});
+                  "--checkpoint=ckpt.json", "positional", "--unrelated=x"});
   EXPECT_EQ(options.jobs, 4u);
   EXPECT_EQ(options.shard_index, 2u);
   EXPECT_EQ(options.shard_count, 5u);
   EXPECT_EQ(options.out_path, "s2.json");
   EXPECT_EQ(options.checkpoint_path, "ckpt.json");
-  EXPECT_EQ(options.checkpoint_every, 7u);
 }
 
-TEST(RuntimeOptionsFlags, JournalIsAnAliasForCheckpoint) {
-  EXPECT_EQ(parse_args({"--journal=ckpt.json"}).checkpoint_path, "ckpt.json");
-  // --checkpoint-every pairs with either spelling.
-  EXPECT_EQ(parse_args({"--journal=ckpt.json", "--checkpoint-every=9"})
-                .checkpoint_every,
-            9u);
+TEST(RuntimeOptionsFlags, RuntimeFlagClaimsOnlyTheParsedForms) {
+  // Drivers exit 2 on a `-` argument runtime_flag does not claim, so it
+  // must claim exactly what from_args parses.
+  EXPECT_TRUE(runtime_flag("--jobs=2"));
+  EXPECT_TRUE(runtime_flag("-j2"));
+  EXPECT_TRUE(runtime_flag("--checker-threads=4"));
+  EXPECT_TRUE(runtime_flag("--checker-batch=auto"));
+  EXPECT_TRUE(runtime_flag("--shard=0/2"));
+  EXPECT_TRUE(runtime_flag("--out=a.json"));
+  EXPECT_TRUE(runtime_flag("--checkpoint=ck.json"));
+  EXPECT_FALSE(runtime_flag("--checkpoint"));
+  EXPECT_FALSE(runtime_flag("--checkpoints=ck.json"));
+  EXPECT_FALSE(runtime_flag("--bogus=1"));
 }
 
 TEST(RuntimeOptionsFlags, DefaultsToTheWholeCampaign) {
@@ -345,13 +352,9 @@ TEST(RuntimeOptionsFlagsDeathTest, MalformedShardSpecsExit) {
               "invalid argument");
   EXPECT_EXIT(parse_args({"--shard=1/0"}), testing::ExitedWithCode(2),
               "invalid argument");
-  EXPECT_EXIT(parse_args({"--checkpoint-every=0"}),
-              testing::ExitedWithCode(2), "invalid argument");
   // Negative values must not wrap through strtoull into huge shards.
   EXPECT_EXIT(parse_args({"--shard=0/-1"}), testing::ExitedWithCode(2),
               "invalid argument");
-  EXPECT_EXIT(parse_args({"--checkpoint-every=-1"}),
-              testing::ExitedWithCode(2), "invalid argument");
   // Only the '=' forms exist; the space form must fail loudly rather than
   // leak "0/2" into a driver's positional arguments.
   EXPECT_EXIT(parse_args({"--shard", "0/2"}), testing::ExitedWithCode(2),
@@ -364,21 +367,6 @@ TEST(RuntimeOptionsFlagsDeathTest, MalformedShardSpecsExit) {
               "invalid argument");
   EXPECT_EXIT(parse_args({"--jobs=-1"}), testing::ExitedWithCode(2),
               "invalid argument");
-  // Two spellings of the same checkpoint path must not silently race.
-  EXPECT_EXIT(parse_args({"--checkpoint=a.json", "--journal=b.json"}),
-              testing::ExitedWithCode(2), "only one of");
-  EXPECT_EXIT(parse_args({"--journal"}), testing::ExitedWithCode(2),
-              "invalid argument");
-  // A checkpoint interval without a checkpoint file checkpoints nothing;
-  // that must be a loud usage error, not a silently ignored flag.
-  EXPECT_EXIT(parse_args({"--checkpoint-every=4"}), testing::ExitedWithCode(2),
-              "--checkpoint=PATH alongside");
-  EXPECT_EXIT(parse_args({"--checkpoint-every=4", "--jobs=2"}),
-              testing::ExitedWithCode(2), "--checkpoint=PATH alongside");
-  // With the checkpoint path present — in either order — it parses.
-  EXPECT_EQ(parse_args({"--checkpoint-every=4", "--checkpoint=ck.json"})
-                .checkpoint_every,
-            4u);
 }
 
 TEST(RuntimeOptionsFlagsDeathTest, NonCampaignDriversRejectCampaignFlags) {
@@ -390,8 +378,6 @@ TEST(RuntimeOptionsFlagsDeathTest, NonCampaignDriversRejectCampaignFlags) {
   EXPECT_EXIT(parse_args({"--out=x.json"}, /*campaign_flags=*/false),
               testing::ExitedWithCode(2), "not supported by this driver");
   EXPECT_EXIT(parse_args({"--checkpoint=ck.json"}, /*campaign_flags=*/false),
-              testing::ExitedWithCode(2), "not supported by this driver");
-  EXPECT_EXIT(parse_args({"--journal=ck.json"}, /*campaign_flags=*/false),
               testing::ExitedWithCode(2), "not supported by this driver");
   // --jobs stays available everywhere.
   EXPECT_EQ(parse_args({"--jobs=3"}, /*campaign_flags=*/false).jobs, 3u);

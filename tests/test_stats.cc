@@ -173,10 +173,5 @@ TEST(Config, TableOneDefaults) {
   EXPECT_EQ(cfg.dram.tCAS, 11u);
 }
 
-TEST(Config, BaselineDisablesDetection) {
-  const SystemConfig cfg = SystemConfig::baseline_unchecked();
-  EXPECT_FALSE(cfg.detection.enabled);
-}
-
 }  // namespace
 }  // namespace paradet

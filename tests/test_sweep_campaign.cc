@@ -42,17 +42,17 @@ std::vector<workloads::Workload> tiny_suite() {
 /// The fig09 cell: a checked run at the point's checker frequency.
 sim::RunResult freq_cell(std::size_t point, std::size_t,
                          const AssemblyCache::Image& image, std::uint64_t) {
-  SystemConfig config = SystemConfig::standard();
-  config.checker.freq_mhz = kFreqsMhz[point];
-  return sim::run_program(config, image, kBudget);
+  sim::SimJob job;
+  job.config = SystemConfig::standard();
+  job.config.checker.freq_mhz = kFreqsMhz[point];
+  job.mode = sim::SimMode::kChecked;
+  job.max_instructions = kBudget;
+  return sim::run_job(job, image);
 }
 
 SweepCampaign make_sweep() {
   SweepCampaign sweep(std::size(kFreqsMhz), tiny_suite(), kSeed);
-  SystemConfig baseline = SystemConfig::standard();
-  baseline.detection.enabled = false;
-  baseline.detection.simulate_checkers = false;
-  sweep.enable_baselines(baseline, kBudget);
+  sweep.enable_baselines(SystemConfig::standard(), kBudget);
   return sweep;
 }
 
@@ -182,7 +182,6 @@ TEST(SweepCampaign, CheckpointResumeMatchesUninterruptedBytes) {
   std::remove(path.c_str());
   CampaignRunOptions options;
   options.checkpoint_path = path;
-  options.checkpoint_every = 2;
   options.out_path = testing::TempDir() + "/paradet_sweep_resumed.json";
 
   const SweepCampaign sweep = make_sweep();

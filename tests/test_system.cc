@@ -33,6 +33,15 @@ arch::ArchState golden_run(const isa::Assembled& assembled,
   return state;
 }
 
+/// A checked run of `config` up to `budget` instructions.
+SimJob checked_job(const SystemConfig& config, std::uint64_t budget) {
+  SimJob job;
+  job.config = config;
+  job.mode = SimMode::kChecked;
+  job.max_instructions = budget;
+  return job;
+}
+
 constexpr const char* kMixedProgram = R"(
 _start:
   li   t0, 600
@@ -67,15 +76,15 @@ TEST(CheckedSystem, ArchitecturalEquivalenceWithGolden) {
   const arch::ArchState golden = golden_run(assembled, 50000, &golden_trap);
   ASSERT_EQ(golden_trap, arch::Trap::kHalt);
 
-  const RunResult checked =
-      run_program(SystemConfig::standard(), assembled, 50000);
+  SimJob job = checked_job(SystemConfig::standard(), 50000);
+  const RunResult checked = run_job(job, assembled);
   EXPECT_EQ(checked.exit_trap, arch::Trap::kHalt);
   EXPECT_FALSE(checked.error_detected);
   EXPECT_EQ(arch::first_register_difference(checked.final_state, golden), -1);
   EXPECT_EQ(checked.final_state.pc, golden.pc);
 
-  const RunResult baseline =
-      run_program(SystemConfig::baseline_unchecked(), assembled, 50000);
+  job.mode = SimMode::kBaseline;
+  const RunResult baseline = run_job(job, assembled);
   EXPECT_EQ(arch::first_register_difference(baseline.final_state, golden),
             -1);
 }
@@ -83,10 +92,10 @@ TEST(CheckedSystem, ArchitecturalEquivalenceWithGolden) {
 TEST(CheckedSystem, DetectionNeverSlowsBelowBaseline) {
   const auto assembled = isa::assemble(kMixedProgram);
   ASSERT_TRUE(assembled.ok);
-  const RunResult checked =
-      run_program(SystemConfig::standard(), assembled, 50000);
-  const RunResult baseline =
-      run_program(SystemConfig::baseline_unchecked(), assembled, 50000);
+  SimJob job = checked_job(SystemConfig::standard(), 50000);
+  const RunResult checked = run_job(job, assembled);
+  job.mode = SimMode::kBaseline;
+  const RunResult baseline = run_job(job, assembled);
   EXPECT_GE(checked.main_done_cycle, baseline.main_done_cycle);
   // At Table I defaults the overhead stays small (paper: <= 3.4%; we
   // allow a slack band for the synthetic kernel).
@@ -99,7 +108,7 @@ TEST(CheckedSystem, SegmentsSealAndDrain) {
   const auto assembled = isa::assemble(kMixedProgram);
   ASSERT_TRUE(assembled.ok);
   const RunResult result =
-      run_program(SystemConfig::standard(), assembled, 50000);
+      run_job(checked_job(SystemConfig::standard(), 50000), assembled);
   EXPECT_GT(result.segments, 2u);
   EXPECT_EQ(result.seals_drain, 1u);  // final HALT segment.
   EXPECT_EQ(result.segments, result.seals_full + result.seals_timeout +
@@ -113,7 +122,7 @@ TEST(CheckedSystem, TerminationHeldUntilAllChecked) {
   const auto assembled = isa::assemble(kMixedProgram);
   ASSERT_TRUE(assembled.ok);
   const RunResult result =
-      run_program(SystemConfig::standard(), assembled, 50000);
+      run_job(checked_job(SystemConfig::standard(), 50000), assembled);
   // §IV-H: the final check completes after the main core is done; the
   // program may only report termination then.
   EXPECT_GE(result.all_checked_cycle, result.main_done_cycle);
@@ -131,7 +140,7 @@ loop:
 )");
   ASSERT_TRUE(assembled.ok);
   const RunResult result =
-      run_program(SystemConfig::standard(), assembled, 1000);
+      run_job(checked_job(SystemConfig::standard(), 1000), assembled);
   EXPECT_EQ(result.exit_trap, arch::Trap::kSystemFault);
   // The fault is architectural (the program's own doing), not a hardware
   // error: the checkers validate the trap rather than flagging it.
@@ -154,7 +163,7 @@ loop:
 )");
   ASSERT_TRUE(assembled.ok);
   const RunResult result =
-      run_program(SystemConfig::standard(), assembled, 200000);
+      run_job(checked_job(SystemConfig::standard(), 200000), assembled);
   EXPECT_GT(result.seals_timeout, 10u);
   EXPECT_EQ(result.seals_full, 0u);
   EXPECT_FALSE(result.error_detected);
@@ -173,7 +182,7 @@ loop:
   halt
 )");
   ASSERT_TRUE(assembled.ok);
-  const RunResult result = run_program(config, assembled, 200000);
+  const RunResult result = run_job(checked_job(config, 200000), assembled);
   EXPECT_EQ(result.seals_timeout, 0u);
   EXPECT_EQ(result.segments, 1u);  // only the drain segment.
 }
@@ -184,7 +193,7 @@ TEST(CheckedSystem, InterruptsForceEarlyCheckpoints) {
   config.interrupts.interval_cycles = 2000;
   const auto assembled = isa::assemble(kMixedProgram);
   ASSERT_TRUE(assembled.ok);
-  const RunResult result = run_program(config, assembled, 50000);
+  const RunResult result = run_job(checked_job(config, 50000), assembled);
   EXPECT_GT(result.seals_interrupt, 2u);
   EXPECT_FALSE(result.error_detected);  // stream identity preserved §IV-G.
 }
@@ -205,7 +214,7 @@ out:
 )");
   ASSERT_TRUE(assembled.ok);
   const RunResult result =
-      run_program(SystemConfig::standard(), assembled, 10000);
+      run_job(checked_job(SystemConfig::standard(), 10000), assembled);
   // Non-determinism would diverge the checker without log forwarding.
   EXPECT_FALSE(result.error_detected);
   EXPECT_EQ(result.exit_trap, arch::Trap::kHalt);
@@ -219,9 +228,10 @@ TEST(CheckedSystem, SlowCheckersBackPressureTheMainCore) {
   const auto workload =
       workloads::make_bitcount(workloads::Scale{.factor = 0.2});
   const auto assembled = workloads::assemble_or_die(workload);
-  const RunResult throttled = run_program(slow, assembled, 400000);
-  const RunResult baseline =
-      run_program(SystemConfig::baseline_unchecked(), assembled, 400000);
+  SimJob job = checked_job(slow, 400000);
+  const RunResult throttled = run_job(job, assembled);
+  job.mode = SimMode::kBaseline;
+  const RunResult baseline = run_job(job, assembled);
   const double slowdown = static_cast<double>(throttled.main_done_cycle) /
                           static_cast<double>(baseline.main_done_cycle);
   EXPECT_GT(slowdown, 1.5);
@@ -230,11 +240,11 @@ TEST(CheckedSystem, SlowCheckersBackPressureTheMainCore) {
 
 TEST(CheckedSystem, CheckpointOnlyModeMatchesFig10Setup) {
   // Figure 10: checkpoint/log bookkeeping with infinitely fast checkers.
-  SystemConfig config = SystemConfig::standard();
-  config.detection.simulate_checkers = false;
+  SimJob job = checked_job(SystemConfig::standard(), 50000);
+  job.mode = SimMode::kCheckpointOnly;
   const auto assembled = isa::assemble(kMixedProgram);
   ASSERT_TRUE(assembled.ok);
-  const RunResult result = run_program(config, assembled, 50000);
+  const RunResult result = run_job(job, assembled);
   EXPECT_EQ(result.log_full_stall_cycles, 0u);
   EXPECT_GT(result.checkpoints_taken, 1u);
   EXPECT_FALSE(result.error_detected);
@@ -245,15 +255,15 @@ TEST(CheckedSystem, TinySegmentsCostMoreThanLargeOnes) {
   // checkpoint-stall overhead.
   const auto assembled = isa::assemble(kMixedProgram);
   ASSERT_TRUE(assembled.ok);
-  SystemConfig small = SystemConfig::standard();
-  small.detection.simulate_checkers = false;
-  small.log.total_bytes = 36 * 1024 / 10;
-  small.log.instruction_timeout = 500;
-  SystemConfig large = small;
-  large.log.total_bytes = 360 * 1024;
-  large.log.instruction_timeout = 50000;
-  const RunResult small_run = run_program(small, assembled, 50000);
-  const RunResult large_run = run_program(large, assembled, 50000);
+  SimJob small = checked_job(SystemConfig::standard(), 50000);
+  small.mode = SimMode::kCheckpointOnly;
+  small.config.log.total_bytes = 36 * 1024 / 10;
+  small.config.log.instruction_timeout = 500;
+  SimJob large = small;
+  large.config.log.total_bytes = 360 * 1024;
+  large.config.log.instruction_timeout = 50000;
+  const RunResult small_run = run_job(small, assembled);
+  const RunResult large_run = run_job(large, assembled);
   EXPECT_GT(small_run.checkpoints_taken, 5 * large_run.checkpoints_taken);
   EXPECT_GE(small_run.main_done_cycle, large_run.main_done_cycle);
 }
@@ -279,7 +289,7 @@ loop:
 data:
 )");
   ASSERT_TRUE(assembled.ok);
-  const RunResult result = run_program(config, assembled, 10000);
+  const RunResult result = run_job(checked_job(config, 10000), assembled);
   // If a pair were ever split across segments, the checker would see a
   // log-overrun/kind mismatch; passing means the rule held.
   EXPECT_FALSE(result.error_detected);
@@ -292,7 +302,7 @@ TEST(CheckedSystem, SingleCheckerIsStillCorrect) {
   config.checker.num_cores = 1;
   const auto assembled = isa::assemble(kMixedProgram);
   ASSERT_TRUE(assembled.ok);
-  const RunResult result = run_program(config, assembled, 50000);
+  const RunResult result = run_job(checked_job(config, 50000), assembled);
   EXPECT_FALSE(result.error_detected);
   EXPECT_EQ(result.exit_trap, arch::Trap::kHalt);
 }
@@ -304,7 +314,7 @@ _start:
 )");
   ASSERT_TRUE(assembled.ok);
   const RunResult result =
-      run_program(SystemConfig::standard(), assembled, 1000);
+      run_job(checked_job(SystemConfig::standard(), 1000), assembled);
   EXPECT_EQ(result.instructions, 1000u);
   EXPECT_EQ(result.exit_trap, arch::Trap::kNone);
   EXPECT_FALSE(result.error_detected);
@@ -314,7 +324,7 @@ TEST(CheckedSystem, CountersPopulated) {
   const auto assembled = isa::assemble(kMixedProgram);
   ASSERT_TRUE(assembled.ok);
   const RunResult result =
-      run_program(SystemConfig::standard(), assembled, 50000);
+      run_job(checked_job(SystemConfig::standard(), 50000), assembled);
   EXPECT_GT(result.counters.get("l1d.hits"), 0u);
   EXPECT_GT(result.counters.get("log.entries"), 0u);
   EXPECT_GT(result.counters.get("lfu.captures"), 0u);
