@@ -60,10 +60,6 @@ struct Options {
   double scale = 1.0;          ///< workload scale factor (--scale=X).
   std::string only;            ///< run a single benchmark (--benchmark=name).
   RuntimeOptions runtime;      ///< --jobs/--shard/--out/--checkpoint flags.
-  /// Front-end model for the main core (--frontend=NAME; sim/frontend.h).
-  /// Parsed and mixed into the fingerprint, but no driver applies it to
-  /// its runs yet; bench_fig_frontend_ablation sweeps the models itself.
-  FrontEndKind frontend = FrontEndKind::kTournament;
 
   /// `campaign` = true for drivers that execute through
   /// Campaign::run_sharded; others reject --shard/--out/--checkpoint
@@ -82,18 +78,9 @@ struct Options {
         options.scale = parse_scale(arg);
       } else if (std::strncmp(arg, "--benchmark=", 12) == 0) {
         options.only = arg + 12;
-      } else if (std::strncmp(arg, "--frontend=", 11) == 0) {
-        if (!parse_frontend_kind(arg + 11, &options.frontend)) {
-          std::fprintf(stderr,
-                       "--frontend=%s: unknown front-end (tournament, gshare, "
-                       "bimodal, always-taken)\n",
-                       arg + 11);
-          std::exit(2);
-        }
       } else if (std::strcmp(arg, "--help") == 0) {
         std::printf("usage: %s [--scale=X] [--benchmark=name] [--jobs=N]"
-                    " [--checker-threads=N]\n          [--checker-batch=N|auto]"
-                    " [--frontend=NAME]%s",
+                    " [--checker-threads=N]%s",
                     argv[0],
                     campaign ? "\n          [--shard=K/N] [--out=artifact.json]"
                                " [--checkpoint=ckpt.json]"
@@ -117,20 +104,14 @@ struct Options {
     return runtime::ParallelRunner(runtime.jobs);
   }
 
-  /// Checker-replay workers each simulated run may spawn: the requested
-  /// --checker-threads, clamped so that --jobs concurrent runs plus their
-  /// absorbers cannot oversubscribe the host. Results are byte-identical
-  /// at any value, so the clamp never changes artifacts.
-  unsigned checker_threads() const {
+  /// Checker-replay workers each simulated run may spawn — what drivers
+  /// put in SimJob::checker: the requested --checker-threads, clamped so
+  /// that --jobs concurrent runs plus their absorbers cannot
+  /// oversubscribe the host. Results are byte-identical at any value, so
+  /// the clamp never changes artifacts.
+  CheckerExec checker_exec() const {
     return runtime::CheckerPool::bounded(runtime.checker_threads,
                                          runtime.jobs);
-  }
-
-  /// The full checker-replay execution shape for each simulated run:
-  /// host-clamped worker threads plus the --checker-batch ticket size.
-  /// This is what drivers put in SimJob::checker.
-  CheckerExec checker_exec() const {
-    return CheckerExec(checker_threads(), runtime.checker_batch);
   }
 
   /// Hash (FNV-1a, common/hash.h) of the options that give campaign task
@@ -142,11 +123,6 @@ struct Options {
     hash.mix_u64(std::bit_cast<std::uint64_t>(scale));
     hash.mix_bytes(only);
     hash.mix_u64(kInstructionBudget);
-    // Mixed in only when non-default so every artifact fingerprinted
-    // before the flag existed still resumes/merges byte-identically.
-    if (frontend != FrontEndKind::kTournament) {
-      hash.mix_bytes(frontend_kind_name(frontend));
-    }
     return hash.value();
   }
 
@@ -157,10 +133,6 @@ struct Options {
     auto options = runtime::CampaignRunOptions::from_runtime(runtime);
     options.fingerprint = config_fingerprint();
     return options;
-  }
-
-  runtime::ShardSpec shard() const {
-    return runtime::ShardSpec{runtime.shard_index, runtime.shard_count};
   }
 };
 

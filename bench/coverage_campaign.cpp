@@ -124,8 +124,7 @@ int run(int argc, char** argv) {
   const std::size_t num_sites = std::size(sites);
   const runtime::Campaign campaign(num_sites * kernels.size() * kTrialsPerCell,
                                    /*seed=*/0xC0FFEE);
-  auto campaign_options = options.campaign_options();
-  campaign_options.keep_runs = true;  // classification below walks the runs.
+  const auto campaign_options = options.campaign_options();
   const auto artifact = campaign.run_sharded(
       runner, campaign_options, [&](std::size_t i, std::uint64_t task_seed) {
         const std::size_t site_index = i / (kernels.size() * kTrialsPerCell);

@@ -18,17 +18,22 @@ int main(int argc, char** argv) {
       "Large/Large; desired: Small/Small/Negligible");
 
   const SystemConfig config = SystemConfig::standard();
-  sim::SimJob checked_job;
-  checked_job.config = config;
-  checked_job.mode = sim::SimMode::kChecked;
-  checked_job.max_instructions = bench::kInstructionBudget;
-  sim::SimJob base_job = checked_job;
+  sim::SimJob base_job;
+  base_job.config = config;
   base_job.mode = sim::SimMode::kBaseline;
+  base_job.max_instructions = bench::kInstructionBudget;
+  sim::SimJob checked_job = base_job;
+  checked_job.mode = sim::SimMode::kChecked;
+  checked_job.checker = options.checker_exec();
 
-  double lockstep_slowdown = 0, rmt_slowdown = 0, paradet_slowdown = 0;
-  unsigned count = 0;
-  for (const auto& workload : bench::suite_or_fail(options)) {
-    const auto assembled = workloads::assemble_or_die(workload);
+  // Each workload's simulations run on the worker pool; the rows print in
+  // suite order once it joins, so stdout is identical at any --jobs.
+  struct Row {
+    double lockstep = 0, rmt = 0, paradet = 0;
+  };
+  const auto kernels = bench::suite_or_fail(options);
+  const auto rows = options.runner().map(kernels.size(), [&](std::size_t k) {
+    const auto assembled = workloads::assemble_or_die(kernels[k]);
     const auto base = sim::run_job(base_job, assembled);
     const auto lockstep = baseline::run_lockstep(config, assembled,
                                                  bench::kInstructionBudget);
@@ -36,17 +41,21 @@ int main(int argc, char** argv) {
         baseline::run_rmt(config, assembled, bench::kInstructionBudget);
     const auto checked = sim::run_job(checked_job, assembled);
     const double base_cycles = static_cast<double>(base.main_done_cycle);
-    lockstep_slowdown += lockstep.slowdown;
-    rmt_slowdown += static_cast<double>(rmt.cycles) / base_cycles;
-    paradet_slowdown +=
-        static_cast<double>(checked.main_done_cycle) / base_cycles;
-    ++count;
+    return Row{lockstep.slowdown,
+               static_cast<double>(rmt.cycles) / base_cycles,
+               static_cast<double>(checked.main_done_cycle) / base_cycles};
+  });
+
+  double lockstep_slowdown = 0, rmt_slowdown = 0, paradet_slowdown = 0;
+  for (std::size_t k = 0; k < kernels.size(); ++k) {
+    lockstep_slowdown += rows[k].lockstep;
+    rmt_slowdown += rows[k].rmt;
+    paradet_slowdown += rows[k].paradet;
     std::printf("%-14s lockstep %.3f   rmt %.3f   paradet %.3f\n",
-                workload.name.c_str(), lockstep.slowdown,
-                static_cast<double>(rmt.cycles) / base_cycles,
-                static_cast<double>(checked.main_done_cycle) / base_cycles);
+                kernels[k].name.c_str(), rows[k].lockstep, rows[k].rmt,
+                rows[k].paradet);
   }
-  if (count == 0) return 0;
+  const unsigned count = static_cast<unsigned>(kernels.size());
 
   const auto area = model::estimate_area(config);
   const auto power = model::estimate_power(config);

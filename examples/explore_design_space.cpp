@@ -39,8 +39,7 @@ int run(int argc, char** argv) {
         std::strcmp(argv[i], "-j") == 0) {
       ++i;  // skip the flag's value; RuntimeOptions consumes it.
     } else if (std::strcmp(argv[i], "--help") == 0) {
-      std::printf("usage: %s [--jobs=N] [--checker-threads=N]"
-                  " [--checker-batch=N|auto]\n"
+      std::printf("usage: %s [--jobs=N] [--checker-threads=N]\n"
                   "          [--shard=K/N] [--out=artifact.json]"
                   " [--checkpoint=ckpt.json]\n",
                   argv[0]);
@@ -54,9 +53,8 @@ int run(int argc, char** argv) {
   const RuntimeOptions host =
       RuntimeOptions::from_args(argc, argv, /*campaign_flags=*/true);
   const runtime::ParallelRunner runner(host.jobs);
-  const CheckerExec checker(
-      runtime::CheckerPool::bounded(host.checker_threads, host.jobs),
-      host.checker_batch);
+  const CheckerExec checker =
+      runtime::CheckerPool::bounded(host.checker_threads, host.jobs);
   const auto workload =
       workloads::make_facesim(workloads::Scale{.factor = 0.4});
 

@@ -59,8 +59,7 @@ int run(int argc, char** argv) {
       }
     } else if (std::strcmp(argv[i], "--help") == 0) {
       std::printf("usage: %s [trials-per-site] [--jobs=N]"
-                  " [--checker-threads=N] [--checker-batch=N|auto]"
-                  " [--fork=on|off]\n"
+                  " [--checker-threads=N] [--fork=on|off]\n"
                   "          [--shard=K/N] [--out=artifact.json]"
                   " [--checkpoint=ckpt.json]\n",
                   argv[0]);
@@ -88,10 +87,8 @@ int run(int argc, char** argv) {
   }
   const RuntimeOptions host_options = RuntimeOptions::from_args(argc, argv, /*campaign_flags=*/true);
   const runtime::ParallelRunner runner(host_options.jobs);
-  const CheckerExec checker(
-      runtime::CheckerPool::bounded(host_options.checker_threads,
-                                    host_options.jobs),
-      host_options.checker_batch);
+  const CheckerExec checker = runtime::CheckerPool::bounded(
+      host_options.checker_threads, host_options.jobs);
 
   const SystemConfig config = SystemConfig::standard();
   const auto workload =
@@ -142,8 +139,8 @@ int run(int argc, char** argv) {
   // slice strikes with exactly the faults the whole campaign would.
   const runtime::Campaign campaign(num_sites * trials_per_site,
                                    /*seed=*/0xFA017CA3);
-  auto campaign_options = runtime::CampaignRunOptions::from_runtime(host_options);
-  campaign_options.keep_runs = true;  // classification below walks the runs.
+  const auto campaign_options =
+      runtime::CampaignRunOptions::from_runtime(host_options);
   const auto artifact = campaign.run_sharded(
       runner, campaign_options, [&](std::size_t i, std::uint64_t task_seed) {
         const auto& site = sites[i / trials_per_site];

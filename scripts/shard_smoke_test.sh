@@ -9,7 +9,8 @@
 # Also checks that a re-run on a finished checkpoint rewrites identical
 # bytes, that a checkpoint path naming a non-journal file fails without
 # touching it, and the usage-error paths (empty --benchmark filter,
-# unknown and removed flags, malformed --scale and --fork values).
+# unknown and removed flags — --journal, --checkpoint-every,
+# --checker-batch, --frontend — and malformed --scale and --fork values).
 # Exercises the real CLI surface (flag parsing, artifact I/O, the merge
 # tool, the subprocess orchestrator) rather than the library entry points
 # the unit tests already cover.
@@ -157,10 +158,13 @@ expect_usage_error "$fig09" --benchmark=randacc --scale=abc
 expect_usage_error "$fig09" --benchmark=randacc --scale=-1
 expect_usage_error "$fig09" --benchmark=randacc --scale=inf
 expect_usage_error "$fault_campaign" 1 --fork=maybe
-# --journal and --checkpoint-every are not flags: like any unknown flag
-# they exit 2, in every driver.
+# --journal, --checkpoint-every, --checker-batch and --frontend are not
+# flags: like any unknown flag they exit 2, in every driver.
 expect_usage_error "$fig09" --benchmark=randacc --journal=x
 expect_usage_error "$fig09" --benchmark=randacc --checkpoint-every=4
 expect_usage_error "$fault_campaign" 1 --checkpoint-every=4
+expect_usage_error "$fig09" --benchmark=randacc --checker-batch=4
+expect_usage_error "$fig09" --benchmark=randacc --frontend=gshare
+expect_usage_error "$fault_campaign" 1 --checker-batch=4
 echo "OK: unknown and removed flags, a malformed --scale and --fork=maybe" \
      "exit 2"

@@ -46,27 +46,6 @@ unsigned parse_jobs(const char* flag, const char* text) {
 
 }  // namespace
 
-const char* frontend_kind_name(FrontEndKind kind) {
-  switch (kind) {
-    case FrontEndKind::kTournament: return "tournament";
-    case FrontEndKind::kGshare: return "gshare";
-    case FrontEndKind::kBimodal: return "bimodal";
-    case FrontEndKind::kAlwaysTaken: return "always-taken";
-  }
-  return "unknown";
-}
-
-bool parse_frontend_kind(std::string_view name, FrontEndKind* out) {
-  if (name == "tournament") { *out = FrontEndKind::kTournament; return true; }
-  if (name == "gshare") { *out = FrontEndKind::kGshare; return true; }
-  if (name == "bimodal") { *out = FrontEndKind::kBimodal; return true; }
-  if (name == "always-taken" || name == "always_taken") {
-    *out = FrontEndKind::kAlwaysTaken;
-    return true;
-  }
-  return false;
-}
-
 bool BranchPredictorConfig::valid_table_sizes() const {
   const auto pow2 = [](unsigned n) { return n != 0 && (n & (n - 1)) == 0; };
   return pow2(local_entries) && pow2(global_entries) &&
@@ -121,25 +100,10 @@ RuntimeOptions RuntimeOptions::from_args(int argc, char** argv,
                  "a replay thread count between 0 (inline replay) and 65535");
       }
       options.checker_threads = static_cast<unsigned>(value);
-    } else if (std::strncmp(arg, "--checker-batch=", 16) == 0) {
-      const char* text = arg + 16;
-      if (std::strcmp(text, "auto") == 0) {
-        options.checker_batch = CheckerExec::kAutoBatch;
-      } else {
-        char* end = nullptr;
-        const unsigned long long value = parse_u64(text, &end);
-        if (end == text || *end != '\0' || value == 0 || value > 4096) {
-          bad_flag(arg,
-                   "--checker-batch=N with 1 <= N <= 4096 segments per "
-                   "replay ticket, or --checker-batch=auto");
-        }
-        options.checker_batch = static_cast<unsigned>(value);
-      }
     } else if (std::strcmp(arg, "--shard") == 0 ||
                std::strcmp(arg, "--out") == 0 ||
                std::strcmp(arg, "--checkpoint") == 0 ||
-               std::strcmp(arg, "--checker-threads") == 0 ||
-               std::strcmp(arg, "--checker-batch") == 0) {
+               std::strcmp(arg, "--checker-threads") == 0) {
       // Only the '=' forms exist; swallowing e.g. `--shard 0/2` would let
       // the next driver's positional parsing misread "0/2".
       bad_flag(arg, "the --flag=value form");
@@ -149,9 +113,8 @@ RuntimeOptions RuntimeOptions::from_args(int argc, char** argv,
 }
 
 bool runtime_flag(const char* arg) {
-  for (const char* prefix : {"--jobs=", "--checker-threads=",
-                             "--checker-batch=", "--shard=", "--out=",
-                             "--checkpoint="}) {
+  for (const char* prefix : {"--jobs=", "--checker-threads=", "--shard=",
+                             "--out=", "--checkpoint="}) {
     if (std::strncmp(arg, prefix, std::strlen(prefix)) == 0) return true;
   }
   return std::strncmp(arg, "-j", 2) == 0;  // -jN

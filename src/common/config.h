@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 
 #include "common/types.h"
 
@@ -53,11 +52,6 @@ enum class FrontEndKind : std::uint8_t {
   kBimodal,      ///< one PHT indexed by pc alone.
   kAlwaysTaken,  ///< static predict-taken (BTB/RAS still model targets).
 };
-
-/// Canonical CLI spelling of `kind` ("tournament", "gshare", ...).
-const char* frontend_kind_name(FrontEndKind kind);
-/// Parses a `--frontend=` value; returns false on an unknown name.
-bool parse_frontend_kind(std::string_view name, FrontEndKind* out);
 
 /// Tournament branch predictor parameters (Table I, "Tournament").
 /// Every table size must be a power of two: the hot predict/update path
@@ -184,27 +178,16 @@ struct DetectionConfig {
 };
 
 /// How the checker-replay half of one simulated run executes on the host:
-/// worker-thread count plus the ticket batch size the segment pipeline
-/// coalesces sealed segments at. Purely host-side — results are
-/// byte-identical at any combination (sim/segment_pipeline.h), only
-/// wall-clock changes. Implicitly constructible from a bare thread count,
-/// so `job.checker = threads` reads naturally.
+/// the replay worker-thread count. Purely host-side — results are
+/// byte-identical at any value (sim/segment_pipeline.h), only wall-clock
+/// changes. Implicitly constructible from a bare thread count, so
+/// `job.checker = threads` reads naturally.
 struct CheckerExec {
-  /// Adaptive batch sizing: the pipeline grows each ticket until it holds
-  /// ~kAutoBatchTargetInsts replayed instructions (clamped to half the
-  /// physical segments so work still overlaps the producer).
-  static constexpr unsigned kAutoBatch = 0;
-
   constexpr CheckerExec() = default;
-  constexpr CheckerExec(unsigned t, unsigned b = kAutoBatch)  // NOLINT
-      : threads(t), batch(b) {}
+  constexpr CheckerExec(unsigned t) : threads(t) {}  // NOLINT
 
   /// Concurrent replay workers (0 = inline replay at seal time).
   unsigned threads = 0;
-  /// Sealed segments coalesced into one CheckerPool ticket; kAutoBatch
-  /// sizes tickets adaptively from measured instructions per segment.
-  /// Ignored when threads == 0 (inline replay has no tickets).
-  unsigned batch = kAutoBatch;
 };
 
 /// Host-side execution options for campaign-style drivers (benches,
@@ -224,13 +207,6 @@ struct RuntimeOptions {
   /// cannot oversubscribe the host.
   unsigned checker_threads = 0;
 
-  /// `--checker-batch=N|auto`: sealed segments coalesced into one replay
-  /// ticket when --checker-threads > 0. `auto` (the default, stored as
-  /// CheckerExec::kAutoBatch) sizes batches from the measured
-  /// instructions per segment so every handoff carries enough replay work
-  /// to amortise the ticket cost. Byte-identical results at any value.
-  unsigned checker_batch = CheckerExec::kAutoBatch;
-
   /// Cross-process sharding (`--shard=K/N`): this process executes only
   /// campaign task indices with `index % shard_count == shard_index`.
   /// Per-task seeds are a pure function of (campaign seed, index), so the
@@ -249,9 +225,8 @@ struct RuntimeOptions {
   std::string checkpoint_path;
 
   /// Scans argv for `--jobs=N` / `--jobs N` / `-jN` / `-j N`,
-  /// `--checker-threads=N`, `--checker-batch=N|auto`, and — when
-  /// `campaign_flags` is true — `--shard=K/N`, `--out=PATH` and
-  /// `--checkpoint=PATH`.
+  /// `--checker-threads=N`, and — when `campaign_flags` is true —
+  /// `--shard=K/N`, `--out=PATH` and `--checkpoint=PATH`.
   /// Drivers that do not execute through Campaign::run_sharded must leave
   /// `campaign_flags` false: the campaign flags then exit with status 2
   /// instead of being silently swallowed (a sharding run that quietly

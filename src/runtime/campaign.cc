@@ -123,10 +123,6 @@ CampaignArtifact Campaign::run_sharded(const ParallelRunner& runner,
   if (!options.out_path.empty()) {
     write_artifact_file(options.out_path, artifact);
   }
-  if (!options.keep_runs) {
-    artifact.runs.clear();
-    artifact.runs.shrink_to_fit();
-  }
   return artifact;
 }
 

@@ -108,13 +108,6 @@ struct CampaignRunOptions {
   /// the driver's configuration is fully determined by (seed, tasks).
   std::uint64_t fingerprint = 0;
 
-  /// Retain per-task RunResults in the returned artifact. Off by default:
-  /// a large campaign's RunResults (each with an ArchState, a histogram
-  /// and a counter bag) dwarf the aggregate, and most callers only need
-  /// the aggregate. File outputs below always contain the full runs
-  /// regardless — merging and resuming need them.
-  bool keep_runs = false;
-
   /// Write the completed artifact here (for tools/merge_results).
   std::string out_path;
 
@@ -149,10 +142,11 @@ class Campaign {
   /// Executes task(index, task_seed(index)) for every index this shard
   /// owns, resuming from / writing the checkpoint and artifact files named
   /// in `options`. `task` must be safe to invoke concurrently from
-  /// multiple threads (each call owns its simulator). The artifact's
-  /// aggregate is absorbed in task-index order after the pool joins, so it
-  /// is bit-identical at every jobs level — and merging all N shards'
-  /// artifacts reproduces the unsharded artifact byte for byte.
+  /// multiple threads (each call owns its simulator). The returned
+  /// artifact holds every owned run, and its aggregate is absorbed in
+  /// task-index order after the pool joins, so it is bit-identical at
+  /// every jobs level — and merging all N shards' artifacts reproduces
+  /// the unsharded artifact byte for byte.
   CampaignArtifact run_sharded(const ParallelRunner& runner,
                                const CampaignRunOptions& options,
                                const Task& task) const;

@@ -28,7 +28,7 @@
 // trip per segment, which dominated the handoff at fine replay
 // granularities. Fine granularity is further amortised one level up:
 // sim::SegmentPipeline coalesces several sealed segments into one ticket
-// (see CheckerExec::batch).
+// (see SegmentPipeline::kTicketTargetInsts).
 //
 // Exceptions from work/absorb are captured once and rethrown from the
 // producer-side calls (publish/wait_slot/drain); the pool then refuses

@@ -43,7 +43,7 @@ void SweepCampaign::enable_baselines(const SystemConfig& config,
 }
 
 SweepResult SweepCampaign::run(const ParallelRunner& runner,
-                               CampaignRunOptions options,
+                               const CampaignRunOptions& options,
                                const CellFn& cell) const {
   const ShardSpec shard = options.shard;
   if (shard.count == 0 || shard.index >= shard.count) {
@@ -84,10 +84,9 @@ SweepResult SweepCampaign::run(const ParallelRunner& runner,
     }
   });
 
-  // The campaign proper. keep_runs is forced on: the per-cell slots (and
-  // any table printed from them) read the records.
+  // The campaign proper; the per-cell slots (and any table printed from
+  // them) read its records.
   const Campaign campaign(cell_workload_.size(), seed_);
-  options.keep_runs = true;
   result.artifact = campaign.run_sharded(
       runner, options, [&](std::size_t i, std::uint64_t task_seed) {
         const std::size_t w = cell_workload_[i];
@@ -111,14 +110,16 @@ void print_transposed(
     throw std::invalid_argument(
         "print_transposed: one column label per sweep point required");
   }
-  std::printf("%-*s", spec.corner_width, spec.corner);
+  // The row-label column: workload names under a fixed-width header.
+  constexpr int kLabelWidth = 14;
+  std::printf("%-*s", kLabelWidth, "benchmark");
   for (const std::string& column : spec.columns) {
     std::printf(" %*s", spec.width, column.c_str());
   }
   std::printf("\n");
 
   for (std::size_t w = 0; w < result.workload_count; ++w) {
-    std::printf("%-*s", spec.corner_width, result.workload_names[w].c_str());
+    std::printf("%-*s", kLabelWidth, result.workload_names[w].c_str());
     for (std::size_t p = 0; p < result.points; ++p) {
       if (result.cell(p, w) == nullptr) {
         std::printf(" %*s", spec.width, "-");  // cell owned by another shard.
@@ -130,7 +131,7 @@ void print_transposed(
   }
 
   if (!spec.mean_row) return;
-  std::printf("%-*s", spec.corner_width, "mean");
+  std::printf("%-*s", kLabelWidth, "mean");
   for (std::size_t p = 0; p < result.points; ++p) {
     double sum = 0;
     unsigned cells = 0;

@@ -128,12 +128,11 @@ class SweepCampaign {
 
   /// Executes this shard's cells on `runner` (assembling each touched
   /// workload once via AssemblyCache::instance(), then baselines, then the
-  /// campaign proper with keep_runs forced on — the per-cell slots and
-  /// table formatter need the records). Artifact/checkpoint files named
-  /// in `options` behave exactly as in Campaign::run_sharded: merged
-  /// shard artifacts are byte-identical to the unsharded run's.
-  SweepResult run(const ParallelRunner& runner, CampaignRunOptions options,
-                  const CellFn& cell) const;
+  /// campaign proper). Artifact/checkpoint files named in `options` behave
+  /// exactly as in Campaign::run_sharded: merged shard artifacts are
+  /// byte-identical to the unsharded run's.
+  SweepResult run(const ParallelRunner& runner,
+                  const CampaignRunOptions& options, const CellFn& cell) const;
 
  private:
   SweepCampaign() = default;
@@ -155,8 +154,6 @@ class SweepCampaign {
 /// formatting shared by header, cells and the mean row.
 struct TableSpec {
   std::vector<std::string> columns;
-  const char* corner = "benchmark";  ///< header of the row-label column.
-  int corner_width = 14;
   int width = 10;      ///< numeric column width.
   int precision = 3;
   bool mean_row = true;  ///< append a per-point mean over owned cells.

@@ -138,10 +138,9 @@ struct SimJob {
   std::uint64_t max_instructions = 0;
   core::FaultInjector* faults = nullptr;
   core::UndoLog* undo_log = nullptr;
-  /// Concurrent replay workers + segments-per-ticket batch (0 threads =
-  /// inline). Byte-identical results at any value; see
-  /// runtime::CheckerPool::bounded for the thread budget policy. Assigning
-  /// a bare thread count works (batch stays auto).
+  /// Concurrent replay workers (0 = inline). Byte-identical results at
+  /// any value; see runtime::CheckerPool::bounded for the thread budget
+  /// policy. Assigning a bare thread count works.
   CheckerExec checker;
 };
 
@@ -151,7 +150,7 @@ struct SimJob {
 /// `job.undo_log` set, the commit stage records write-ahead undo data for
 /// every store, enabling rollback recovery (core/recovery.h); records of
 /// validated segments are discarded as their checks pass. Results are
-/// byte-identical at any `job.checker` thread count × batch size.
+/// byte-identical at any `job.checker` thread count.
 RunResult run_job(const SimJob& job, LoadedProgram& program);
 
 /// Runs `job` against a fresh load of `assembled`.

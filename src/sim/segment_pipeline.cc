@@ -9,13 +9,9 @@ namespace paradet::sim {
 
 namespace {
 
-/// Segments-per-ticket ceiling for the given exec request. Fixed batches
-/// are taken verbatim (release_cycle()'s partial flush keeps even
-/// batch > segments deadlock-free); auto mode caps at segments/2 so the
-/// ring always holds ≥ 2 tickets' worth of work in flight.
-std::size_t resolve_max_batch(const CheckerExec& checker,
-                              unsigned segments) {
-  if (checker.batch != CheckerExec::kAutoBatch) return checker.batch;
+/// Segments-per-ticket ceiling: segments/2, so the ring always holds
+/// ≥ 2 tickets' worth of work in flight.
+std::size_t resolve_max_batch(unsigned segments) {
   return std::max<std::size_t>(1, segments / 2);
 }
 
@@ -31,7 +27,7 @@ SegmentPipeline::SegmentPipeline(const SystemConfig& config,
       statics_(statics),
       undo_log_(undo_log),
       checker_(checker),
-      max_batch_(resolve_max_batch(checker, config.log.segments)),
+      max_batch_(resolve_max_batch(config.log.segments)),
       snapshot_(program_memory.fork()),
       checker_domain_(config.checker.freq_mhz, config.main_core.freq_mhz),
       shared_icache_(config.checker.l1_icache_bytes),
@@ -61,7 +57,7 @@ SegmentPipeline::SegmentPipeline(const SystemConfig& config,
       statics_(statics),
       undo_log_(undo_log),
       checker_(checker),
-      max_batch_(resolve_max_batch(checker, config.log.segments)),
+      max_batch_(resolve_max_batch(config.log.segments)),
       snapshot_(fetch_snapshot.fork()),
       checker_domain_(config.checker.freq_mhz, config.main_core.freq_mhz),
       shared_icache_(warm.shared_icache),
@@ -137,11 +133,9 @@ std::unique_ptr<PipelineWarm> SegmentPipeline::warm_state() const {
 }
 
 bool SegmentPipeline::batch_full(const BatchSlot& slot) const {
-  if (slot.count >= max_batch_) return true;
-  // Auto mode also flushes once the staged replay work amortises the
-  // handoff, whichever comes first.
-  return checker_.batch == CheckerExec::kAutoBatch &&
-         batch_insts_ >= kAutoBatchTargetInsts;
+  // Whichever comes first: the segment ceiling, or enough staged replay
+  // work to amortise the handoff.
+  return slot.count >= max_batch_ || batch_insts_ >= kTicketTargetInsts;
 }
 
 void SegmentPipeline::flush_batch() {

@@ -24,16 +24,16 @@
 // flight.
 //
 // Ticket batching: consecutive sealed segments are coalesced into one
-// pool ticket (CheckerExec::batch segments per ticket; kAutoBatch grows
-// each ticket until it carries ~kAutoBatchTargetInsts of replay work).
-// A batch replays back-to-back on one worker — reusing that worker's
-// engine, decode cache and per-item trace arenas — and is absorbed as an
+// pool ticket, which grows until it carries ~kTicketTargetInsts of replay
+// work or half the physical segments, whichever comes first. A batch
+// replays back-to-back on one worker — reusing that worker's engine,
+// decode cache and per-item trace arenas — and is absorbed as an
 // in-order fold over its items, so artifacts stay byte-identical at any
-// batch size × thread count. Batching only changes how many segments
-// share a handoff; it never reorders absorption. release_cycle() for a
-// segment still sitting in the open (unpublished) batch flushes the batch
-// early — a partial ticket — before waiting, so batches larger than the
-// physical segment count cannot deadlock the producer.
+// thread count. Batching only changes how many segments share a handoff;
+// it never reorders absorption. release_cycle() for a segment still
+// sitting in the open (unpublished) batch flushes the batch early — a
+// partial ticket — before waiting, so a caller asking for a staged index
+// cannot deadlock the producer.
 //
 // In both modes the checker fetches instructions from a pristine snapshot
 // of the program memory taken at pipeline construction (main-core stores
@@ -68,13 +68,13 @@ struct PipelineWarm;
 
 class SegmentPipeline {
  public:
-  /// Auto batch sizing (CheckerExec::kAutoBatch): a ticket is published
-  /// once it accumulates this many replayed instructions. Calibrated
+  /// Ticket sizing: a ticket is published once it accumulates this many
+  /// replayed instructions (or max_batch_ segments). Calibrated
   /// against the per-ticket handoff cost — a few hundred nanoseconds of
   /// slot/publish/claim/absorb traffic, i.e. the replay-work equivalent
   /// of a few dozen instructions — so every handoff carries ≥ ~64× its
   /// own overhead even when segments seal every few dozen instructions.
-  static constexpr std::uint64_t kAutoBatchTargetInsts = 4096;
+  static constexpr std::uint64_t kTicketTargetInsts = 4096;
 
   /// @param program_memory the program's functional memory *before any
   ///   instruction executes*. Frozen and forked here as the replay fetch
@@ -83,8 +83,7 @@ class SegmentPipeline {
   ///   frozen image for free instead of deep-copying it.
   /// @param statics may be null; forwarded to the timing walk.
   /// @param checker threads == 0: inline replay; threads > 0: that many
-  ///   replay workers plus one absorber thread, coalescing `checker.batch`
-  ///   segments per ticket (kAutoBatch = adaptive).
+  ///   replay workers plus one absorber thread.
   /// @param undo_log may be null; when given, validated segments' undo
   ///   records are discarded (on the producer thread) and the recovery
   ///   checkpoint is tracked on failure.
@@ -148,7 +147,7 @@ class SegmentPipeline {
   unsigned threads() const { return checker_.threads; }
 
   // --- Host-side observability (never serialized into RunResult: ticket
-  // counts vary with batch size and artifact bytes must not) --------------
+  // counts vary with the thread count and artifact bytes must not) --------
   /// Pool tickets published by this pipeline instance so far.
   std::uint64_t tickets_published() const { return next_ticket_; }
   /// Segments handed over per ticket, averaged (0 before any ticket).
@@ -214,10 +213,9 @@ class SegmentPipeline {
   const ProgramStatics* statics_;
   core::UndoLog* undo_log_;
   const CheckerExec checker_;
-  /// Upper bound on segments per ticket. Fixed-batch mode: the requested
-  /// batch verbatim. Auto mode: half the physical segments (≥ 1), so the
-  /// in-flight window always holds several tickets and replay overlaps
-  /// the producer instead of lock-stepping with it.
+  /// Upper bound on segments per ticket: half the physical segments
+  /// (≥ 1), so the in-flight window always holds several tickets and
+  /// replay overlaps the producer instead of lock-stepping with it.
   const std::size_t max_batch_;
 
   /// Immutable start-of-run fetch snapshot shared by every engine.
@@ -245,7 +243,7 @@ class SegmentPipeline {
   /// True while segments are staged in slot next_ticket_ % slots_ but the
   /// ticket has not been published yet.
   bool batch_open_ = false;
-  /// Instructions staged in the open batch (auto sizing signal).
+  /// Instructions staged in the open batch (ticket sizing signal).
   std::uint64_t batch_insts_ = 0;
   /// Total segments handed to the pool (observability only).
   std::uint64_t batched_segments_ = 0;

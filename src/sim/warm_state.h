@@ -153,8 +153,8 @@ struct WarmState {
 
   /// The job shape the capture ran under (config is post-apply_mode).
   SystemConfig config;
-  /// Checker-replay execution shape (threads + ticket batch) the capture
-  /// ran under; resumed tails inherit it. Host-side only — forking into a
+  /// Checker-replay execution shape (replay threads) the capture ran
+  /// under; resumed tails inherit it. Host-side only — forking into a
   /// different shape stays byte-identical, this just preserves intent.
   CheckerExec checker;
   std::uint64_t max_instructions = 0;

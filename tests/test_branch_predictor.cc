@@ -1,20 +1,15 @@
 // Tests for the tournament branch predictor, BTB and RAS, and for the
 // pluggable sim::FrontEnd that generalises them: per-variant direction
-// behaviour (gshare / bimodal / always-taken), the tournament variant's
-// state-for-state equivalence with the legacy TournamentPredictor, and
-// byte-identical serialized results for a default-config checked run.
+// behaviour (gshare / bimodal / always-taken) and the tournament
+// variant's state-for-state equivalence with the legacy
+// TournamentPredictor.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <string>
 
 #include "common/config.h"
-#include "runtime/assembly_cache.h"
-#include "runtime/serialize.h"
 #include "sim/branch_predictor.h"
-#include "sim/checked_system.h"
 #include "sim/frontend.h"
-#include "workloads/workloads.h"
 
 namespace paradet::sim {
 namespace {
@@ -314,25 +309,6 @@ TEST(FrontEnd, TournamentVariantMatchesLegacyPredictorRandomized) {
     ASSERT_EQ(legacy.target_mispredicts(), frontend.target_mispredicts());
     ASSERT_EQ(legacy.lookups(), frontend.lookups());
   }
-}
-
-TEST(FrontEnd, DefaultConfigRunResultSerializesIdentically) {
-  // End-to-end byte-identity: a checked run with the FrontEnd selected
-  // through the CLI name ("tournament", as --frontend= does) serializes
-  // to exactly the bytes of a default-config run.
-  const auto workload =
-      workloads::standard_suite(workloads::Scale{0.02}).front();
-  const auto image = runtime::AssemblyCache::instance().get(workload);
-  SimJob job;
-  job.config = SystemConfig::standard();
-  job.mode = SimMode::kChecked;
-  job.max_instructions = 200'000;
-  const RunResult defaulted = run_job(job, image);
-  ASSERT_TRUE(
-      parse_frontend_kind("tournament", &job.config.branch_predictor.kind));
-  const RunResult via_name = run_job(job, image);
-  EXPECT_EQ(runtime::to_json(defaulted), runtime::to_json(via_name));
-  EXPECT_GT(defaulted.instructions, 0u);
 }
 
 }  // namespace

@@ -1,12 +1,11 @@
 // Tests for ticket batching in concurrent checker replay: the
 // sim::SegmentPipeline coalesces consecutive sealed segments into one
 // runtime::CheckerPool ticket (one worker replays the batch back-to-back,
-// the absorber folds it in segment-ordinal order), and --checker-batch
-// selects the batch size. The load-bearing property is unchanged from
-// test_concurrent_replay.cc and now holds along a second axis: every
-// simulation artifact is *byte-identical* at any batch size x thread
-// count x jobs combination, including fault detection and warm-state
-// resume. Runs under TSan in CI (the "checker" ctest regex).
+// the absorber folds it in segment-ordinal order) and sizes the tickets
+// itself. Every simulation artifact stays *byte-identical* to inline
+// replay, including warm-state resume and a release_cycle() that must
+// flush a partial ticket. Runs under TSan in CI (the "checker" ctest
+// regex).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,13 +17,12 @@
 #include <vector>
 
 #include "core/fault_injection.h"
+#include "core/load_store_log.h"
 #include "isa/assembler.h"
 #include "runtime/checker_pool.h"
-#include "runtime/parallel_runner.h"
 #include "runtime/serialize.h"
-#include "runtime/sweep_campaign.h"
 #include "sim/checked_system.h"
-#include "workloads/workloads.h"
+#include "sim/segment_pipeline.h"
 
 namespace paradet {
 namespace {
@@ -70,109 +68,6 @@ isa::Assembled assemble_fixture() {
   return assembled;
 }
 
-/// The checked Table I system over 50,000 instructions, replaying in the
-/// `checker` shape.
-sim::SimJob checked_job(CheckerExec checker) {
-  sim::SimJob job;
-  job.config = SystemConfig::standard();
-  job.mode = sim::SimMode::kChecked;
-  job.max_instructions = 50000;
-  job.checker = checker;
-  return job;
-}
-
-// --- Determinism matrix ----------------------------------------------------
-
-TEST(CheckerBatching, RunResultByteIdenticalAcrossBatchAndThreads) {
-  const auto assembled = assemble_fixture();
-  const std::string inline_json =
-      runtime::to_json(sim::run_job(checked_job(CheckerExec{}), assembled));
-  for (const unsigned threads : {0u, 1u, 4u}) {
-    for (const unsigned batch :
-         {1u, 4u, CheckerExec::kAutoBatch, /*batch > segments:*/ 64u}) {
-      const std::string json = runtime::to_json(
-          sim::run_job(checked_job(CheckerExec(threads, batch)), assembled));
-      EXPECT_EQ(inline_json, json)
-          << "diverged at threads=" << threads << " batch=" << batch;
-    }
-  }
-}
-
-TEST(CheckerBatching, WorkloadSweepInvariantAcrossBatchThreadsAndJobs) {
-  // Full matrix of the batching determinism requirement: batch {1, 4,
-  // auto} x checker threads {0, 1, 4} x host jobs {1, 8}, every cell's
-  // serialized RunResult byte-identical to the inline single-job
-  // reference. Structured like the concurrent-replay sweep so the
-  // campaign scheduler is in the loop too.
-  const auto workload =
-      workloads::make_bitcount(workloads::Scale{.factor = 0.2});
-  constexpr std::uint64_t kBudget = 120000;
-  const auto run_matrix = [&](unsigned jobs, CheckerExec checker) {
-    runtime::ParallelRunner runner(jobs);
-    runtime::SweepCampaign sweep(2, {workload}, /*seed=*/0xB4);
-    const auto swept = sweep.run(
-        runner, runtime::CampaignRunOptions{},
-        [&](std::size_t point, std::size_t,
-            const runtime::AssemblyCache::Image& image, std::uint64_t) {
-          sim::SimJob job = checked_job(checker);
-          job.config.checker.freq_mhz = point == 0 ? 500 : 1000;
-          job.max_instructions = kBudget;
-          return sim::run_job(job, image);
-        });
-    std::string bytes;
-    for (std::size_t p = 0; p < 2; ++p) {
-      bytes += runtime::to_json(*swept.cell(p, 0));
-      bytes += '\n';
-    }
-    return bytes;
-  };
-  const std::string reference = run_matrix(/*jobs=*/1, CheckerExec{});
-  for (const unsigned jobs : {1u, 8u}) {
-    for (const unsigned threads : {0u, 1u, 4u}) {
-      for (const unsigned batch : {1u, 4u, CheckerExec::kAutoBatch}) {
-        EXPECT_EQ(reference, run_matrix(jobs, CheckerExec(threads, batch)))
-            << "jobs=" << jobs << " threads=" << threads
-            << " batch=" << batch;
-      }
-    }
-  }
-}
-
-TEST(CheckerBatching, FaultDetectionInvariantAcrossBatchSizes) {
-  // A mid-run store-value strike: the first-error ordinal and the
-  // recovery checkpoint must not depend on how segments were grouped into
-  // tickets. A fixed batch of 3 leaves the fault's segment mid-batch.
-  const auto assembled = assemble_fixture();
-  const auto run_faulty = [&](CheckerExec checker) {
-    core::FaultInjector faults;
-    core::FaultSpec spec;
-    spec.site = core::FaultSite::kMainStoreValue;
-    spec.at_seq = 1500;
-    spec.bit = 9;
-    faults.add(spec);
-    sim::LoadedProgram program = sim::load_program(assembled);
-    core::UndoLog undo;
-    sim::SimJob job = checked_job(checker);
-    job.faults = &faults;
-    job.undo_log = &undo;
-    return sim::run_job(job, program);
-  };
-  const sim::RunResult reference = run_faulty(CheckerExec{});
-  ASSERT_TRUE(reference.error_detected);
-  ASSERT_TRUE(reference.first_error.has_value());
-  ASSERT_TRUE(reference.recovery_checkpoint.has_value());
-  for (const unsigned batch : {1u, 3u, CheckerExec::kAutoBatch}) {
-    const sim::RunResult batched = run_faulty(CheckerExec(2, batch));
-    EXPECT_EQ(runtime::to_json(reference), runtime::to_json(batched))
-        << "faulty run diverged at batch=" << batch;
-    ASSERT_TRUE(batched.first_error.has_value());
-    EXPECT_EQ(reference.first_error->segment_ordinal,
-              batched.first_error->segment_ordinal);
-    ASSERT_TRUE(batched.recovery_checkpoint.has_value());
-    EXPECT_EQ(*reference.recovery_checkpoint, *batched.recovery_checkpoint);
-  }
-}
-
 // --- Warm-state resume -----------------------------------------------------
 
 TEST(CheckerBatching, WarmForkResumesIntoBatchedPool) {
@@ -186,13 +81,12 @@ TEST(CheckerBatching, WarmForkResumesIntoBatchedPool) {
   job.config = SystemConfig::standard();
   job.mode = sim::SimMode::kChecked;
   job.max_instructions = 50000;
-  job.checker = CheckerExec(/*threads=*/4, /*batch=*/4);
+  job.checker = CheckerExec(4);
   const sim::RunResult full = sim::run_job(job, assembled);
   const auto warm = sim::capture_warm_state(job, assembled,
                                             /*prefix_uops=*/3000);
   ASSERT_NE(warm, nullptr);
   EXPECT_EQ(warm->checker.threads, 4u);
-  EXPECT_EQ(warm->checker.batch, 4u);
   const sim::RunResult forked = sim::run_job_from(*warm);
   EXPECT_EQ(runtime::to_json(forked), runtime::to_json(full));
 
@@ -215,6 +109,36 @@ TEST(CheckerBatching, WarmForkResumesIntoBatchedPool) {
   faulty_job.faults = &full_faults;
   EXPECT_EQ(runtime::to_json(sim::run_job_from(*warm, &fork_faults)),
             runtime::to_json(sim::run_job(faulty_job, assembled)));
+}
+
+// --- Partial tickets ------------------------------------------------------
+
+TEST(SegmentPipeline, ReleasingAStagedIndexFlushesTheOpenTicket) {
+  // One empty segment is far below both ticket-size limits, so it stays
+  // staged in the open ticket. Asking for its index's release cycle must
+  // publish that partial ticket before waiting — otherwise the wait never
+  // ends — and must return exactly the inline pipeline's cycle.
+  const auto assembled = assemble_fixture();
+  const SystemConfig config =
+      sim::apply_mode(SystemConfig::standard(), sim::SimMode::kChecked);
+  const auto release_then_finish = [&](CheckerExec checker) {
+    sim::LoadedProgram program = sim::load_program(assembled);
+    sim::SegmentPipeline pipeline(config, program.memory,
+                                  &program.predecoded(), program.statics.get(),
+                                  checker, /*undo_log=*/nullptr);
+    core::Segment segment;
+    segment.ordinal = 0;
+    segment.start.state.pc = program.entry;
+    segment.end.state.pc = program.entry;
+    pipeline.produce(segment, /*seal_cycle=*/0, /*index=*/0, nullptr);
+    const Cycle released = pipeline.release_cycle(0);
+    pipeline.finish();
+    EXPECT_FALSE(pipeline.error_detected());
+    return released;
+  };
+  const Cycle inline_cycle = release_then_finish(CheckerExec{});
+  EXPECT_GT(inline_cycle, 0u);
+  EXPECT_EQ(release_then_finish(CheckerExec(2)), inline_cycle);
 }
 
 // --- CheckerPool under batched tickets -------------------------------------
@@ -324,48 +248,6 @@ TEST(CheckerPool, AbsorberOrderingUnderAdversarialScheduling) {
   for (std::uint64_t i = 0; i < next_item; ++i) {
     ASSERT_EQ(absorbed_items[i], i) << "absorb order broke at item " << i;
   }
-}
-
-// --- Flag plumbing ---------------------------------------------------------
-
-RuntimeOptions parse_args(std::vector<std::string> args) {
-  args.insert(args.begin(), "test-binary");
-  std::vector<char*> argv;
-  argv.reserve(args.size());
-  for (std::string& arg : args) argv.push_back(arg.data());
-  return RuntimeOptions::from_args(static_cast<int>(argv.size()),
-                                   argv.data(), /*campaign_flags=*/false);
-}
-
-TEST(CheckerBatchFlag, ParsesAndDefaultsToAuto) {
-  EXPECT_EQ(parse_args({}).checker_batch, CheckerExec::kAutoBatch);
-  EXPECT_EQ(parse_args({"--checker-batch=auto"}).checker_batch,
-            CheckerExec::kAutoBatch);
-  EXPECT_EQ(parse_args({"--checker-batch=1"}).checker_batch, 1u);
-  EXPECT_EQ(parse_args({"--checker-batch=6"}).checker_batch, 6u);
-  EXPECT_EQ(parse_args({"--checker-batch=4096"}).checker_batch, 4096u);
-}
-
-TEST(CheckerBatchFlagDeathTest, MalformedValuesExit2) {
-  testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  EXPECT_EXIT(parse_args({"--checker-batch=0"}), testing::ExitedWithCode(2),
-              "checker-batch");
-  EXPECT_EXIT(parse_args({"--checker-batch=4097"}),
-              testing::ExitedWithCode(2), "checker-batch");
-  EXPECT_EXIT(parse_args({"--checker-batch=abc"}),
-              testing::ExitedWithCode(2), "checker-batch");
-  EXPECT_EXIT(parse_args({"--checker-batch="}), testing::ExitedWithCode(2),
-              "checker-batch");
-  // Only the '=' form exists, like every other runtime flag.
-  EXPECT_EXIT(parse_args({"--checker-batch", "4"}),
-              testing::ExitedWithCode(2), "=");
-}
-
-TEST(CheckerExecShape, BareThreadCountConvertsWithAutoBatch) {
-  // Legacy call sites assign a bare unsigned; the batch must stay auto.
-  const CheckerExec from_unsigned = 3;
-  EXPECT_EQ(from_unsigned.threads, 3u);
-  EXPECT_EQ(from_unsigned.batch, CheckerExec::kAutoBatch);
 }
 
 }  // namespace

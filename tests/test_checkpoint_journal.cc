@@ -54,7 +54,6 @@ const std::string& reference_json() {
   static const std::string* text = [] {
     const Campaign campaign(kTasks, kSeed);
     CampaignRunOptions options;
-    options.keep_runs = true;
     return new std::string(to_json(
         campaign.run_sharded(ParallelRunner(1), options, synthetic_task)));
   }();
@@ -281,7 +280,6 @@ TEST(CheckpointJournal, CrashResumeMatchesUninterrupted) {
   const std::string ckpt = fresh_path("journal_resume.json");
   const Campaign campaign(kTasks, kSeed);
   CampaignRunOptions options;
-  options.keep_runs = true;
   options.checkpoint_path = ckpt;
 
   constexpr unsigned kCrashAfter = 17;
@@ -302,7 +300,6 @@ TEST(CheckpointJournal, CrashMidAppendResumesAndRerunsTheTornTask) {
   const std::string ckpt = fresh_path("journal_torn_resume.json");
   const Campaign campaign(kTasks, kSeed);
   CampaignRunOptions options;
-  options.keep_runs = true;
   options.checkpoint_path = ckpt;
 
   constexpr unsigned kCrashAfter = 12;
@@ -327,7 +324,6 @@ TEST(CheckpointJournal, FinishedCheckpointRerunsNothing) {
   const std::string out = fresh_path("journal_finished_out.json");
   const Campaign campaign(kTasks, kSeed);
   CampaignRunOptions options;
-  options.keep_runs = true;
   options.checkpoint_path = ckpt;
   options.out_path = out;
   campaign.run_sharded(ParallelRunner(4), options, synthetic_task);
@@ -404,7 +400,6 @@ TEST(CheckpointJournal, ShardedCrashResumeStillMergesByteIdentically) {
         fresh_path("journal_shard_" + std::to_string(k) + ".json");
     CampaignRunOptions options;
     options.shard = ShardSpec{k, kShards};
-    options.keep_runs = true;
     options.checkpoint_path = ckpt;
     crash_campaign(campaign, options, static_cast<unsigned>(3 + k));
     shards.push_back(

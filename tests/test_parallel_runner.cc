@@ -174,7 +174,6 @@ CampaignArtifact run_fault_campaign(unsigned jobs) {
   const Campaign campaign(/*tasks=*/64, /*seed=*/0x5EEDFULL);
   const ParallelRunner runner(jobs);
   CampaignRunOptions options;
-  options.keep_runs = true;
   return campaign.run_sharded(
       runner, options, [&](std::size_t, std::uint64_t task_seed) {
         SplitMix64 rng(task_seed);

@@ -4,9 +4,8 @@
 // drives) into an artifact byte-identical to the unsharded run's; a
 // checkpoint taken mid-campaign, with all in-memory state dropped,
 // resumes to byte-identical final output without re-running finished
-// tasks; and aggregate-only mode drops the per-run payloads without
-// changing the aggregate. Also covers the --shard/--out/--checkpoint CLI
-// parsing these flows hang off.
+// tasks. Also covers the --shard/--out/--checkpoint CLI parsing these
+// flows hang off.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -81,7 +80,6 @@ const std::string& reference_json() {
   static const std::string* text = [] {
     const Campaign campaign(kTasks, kSeed);
     CampaignRunOptions options;
-    options.keep_runs = true;
     const CampaignArtifact artifact =
         campaign.run_sharded(ParallelRunner(1), options, fault_task);
     return new std::string(to_json(artifact));
@@ -98,7 +96,6 @@ TEST(ShardMerge, MergedShardsAreByteIdenticalToUnshardedRun) {
       for (std::uint64_t k = 0; k < shard_count; ++k) {
         CampaignRunOptions options;
         options.shard = ShardSpec{k, shard_count};
-        options.keep_runs = true;
         shards.push_back(campaign.run_sharded(runner, options, fault_task));
         EXPECT_EQ(shards.back().runs.size(),
                   (kTasks - k + shard_count - 1) / shard_count);
@@ -121,7 +118,7 @@ TEST(ShardMerge, ShardArtifactFilesSurviveTheDiskTrip) {
     options.shard = ShardSpec{k, 3};
     options.out_path = testing::TempDir() + "/paradet_shard_" +
                        std::to_string(k) + ".json";
-    campaign.run_sharded(runner, options, fault_task);  // aggregate-only.
+    campaign.run_sharded(runner, options, fault_task);
     shards.push_back(read_artifact_file(options.out_path));
     std::remove(options.out_path.c_str());
   }
@@ -135,7 +132,6 @@ TEST(ShardMerge, CheckpointResumeIsByteIdenticalToUninterrupted) {
   const Campaign campaign(kTasks, kSeed);
   const ParallelRunner serial(1);
   CampaignRunOptions options;
-  options.keep_runs = true;
   options.checkpoint_path = path;
 
   // Phase 1: the campaign dies after 20 completed tasks.
@@ -208,10 +204,8 @@ TEST(ShardMerge, FingerprintMismatchRejectsCheckpointAndMerge) {
 
   CampaignRunOptions left, right;
   left.shard = ShardSpec{0, 2};
-  left.keep_runs = true;
   left.fingerprint = 0xAAA;
   right.shard = ShardSpec{1, 2};
-  right.keep_runs = true;
   right.fingerprint = 0xBBB;
   EXPECT_THROW(
       merge_artifacts({campaign.run_sharded(ParallelRunner(2), left, trivial),
@@ -237,24 +231,12 @@ TEST(ShardMerge, ForeignCheckpointIsRejected) {
   std::remove(path.c_str());
 }
 
-TEST(ShardMerge, AggregateOnlyModeDropsRunsButMatchesAggregate) {
-  const Campaign campaign(kTasks, kSeed);
-  CampaignRunOptions options;  // keep_runs defaults off.
-  const CampaignArtifact artifact =
-      campaign.run_sharded(ParallelRunner(8), options, fault_task);
-  EXPECT_TRUE(artifact.runs.empty());
-
-  const CampaignArtifact reference = artifact_from_json(reference_json());
-  EXPECT_EQ(to_json(artifact.aggregate), to_json(reference.aggregate));
-}
-
 TEST(ShardMerge, MergeRejectsInconsistentShards) {
   const Campaign campaign(8, kSeed);
   const ParallelRunner runner(4);
   const auto run_shard = [&](std::uint64_t k, std::uint64_t n) {
     CampaignRunOptions options;
     options.shard = ShardSpec{k, n};
-    options.keep_runs = true;
     return campaign.run_sharded(runner, options, [](std::size_t,
                                                     std::uint64_t) {
       return sim::RunResult{};
@@ -272,7 +254,6 @@ TEST(ShardMerge, MergeRejectsInconsistentShards) {
   const Campaign other(8, kSeed + 1);
   CampaignRunOptions options;
   options.shard = ShardSpec{1, 2};
-  options.keep_runs = true;
   auto foreign = other.run_sharded(
       runner, options,
       [](std::size_t, std::uint64_t) { return sim::RunResult{}; });
@@ -323,7 +304,6 @@ TEST(RuntimeOptionsFlags, RuntimeFlagClaimsOnlyTheParsedForms) {
   EXPECT_TRUE(runtime_flag("--jobs=2"));
   EXPECT_TRUE(runtime_flag("-j2"));
   EXPECT_TRUE(runtime_flag("--checker-threads=4"));
-  EXPECT_TRUE(runtime_flag("--checker-batch=auto"));
   EXPECT_TRUE(runtime_flag("--shard=0/2"));
   EXPECT_TRUE(runtime_flag("--out=a.json"));
   EXPECT_TRUE(runtime_flag("--checkpoint=ck.json"));

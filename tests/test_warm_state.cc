@@ -269,7 +269,6 @@ std::string mini_campaign_artifact(const isa::Assembled& assembled,
                              FaultSite::kMainArchReg};
   const runtime::Campaign campaign(/*tasks=*/8, /*seed=*/0xBEEF);
   runtime::CampaignRunOptions options;
-  options.keep_runs = true;
   const runtime::ParallelRunner runner(jobs);
   const auto artifact = campaign.run_sharded(
       runner, options, [&](std::size_t i, std::uint64_t task_seed) {
