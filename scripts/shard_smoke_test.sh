@@ -6,9 +6,10 @@
 # the same fig09 sweep through campaign_orchestrator (3 shards, one
 # injected SIGKILL + checkpoint restart) and require *its* merged artifact
 # to be byte-identical too, with exactly one checkpoint file per shard.
-# Also checks that a re-run on a finished checkpoint rewrites identical
-# bytes, that a checkpoint path naming a non-journal file fails without
-# touching it, and the usage-error paths (empty --benchmark filter,
+# Also checks that merge_results refuses a version-2 artifact by name,
+# that a re-run on a finished checkpoint rewrites identical bytes, that a
+# checkpoint path naming a non-journal file fails without touching it,
+# and the usage-error paths (empty --benchmark filter,
 # unknown and removed flags — --journal, --checkpoint-every,
 # --checker-batch, --frontend — and malformed --scale and --fork values).
 # Exercises the real CLI surface (flag parsing, artifact I/O, the merge
@@ -49,6 +50,30 @@ if ! cmp "$workdir/merged.json" "$workdir/whole.json"; then
   exit 1
 fi
 echo "OK: 2-shard fault-campaign merge is byte-identical to the unsharded artifact"
+
+# Version-2 artifacts carry mem_digest values of the old page hash, which
+# no version-3 clean run can match: merging one must fail (exit 1) and
+# name the file and its version.
+sed '1s/"version":3,/"version":2,/' "$workdir/shard_0.json" \
+    > "$workdir/shard_0_v2.json"
+code=0
+"$merge_results" --out="$workdir/merged_v2.json" "$workdir/shard_0_v2.json" \
+    "$workdir/shard_1.json" > /dev/null 2> "$workdir/merge_v2.err" || code=$?
+if [[ $code -ne 1 ]]; then
+  echo "FAIL: merging a version-2 artifact exited $code, want 1" >&2
+  exit 1
+fi
+if ! grep -q "shard_0_v2.json" "$workdir/merge_v2.err" ||
+    ! grep -q "version 2" "$workdir/merge_v2.err"; then
+  echo "FAIL: version-2 refusal does not name the file and version:" >&2
+  cat "$workdir/merge_v2.err" >&2
+  exit 1
+fi
+if [[ -e "$workdir/merged_v2.json" ]]; then
+  echo "FAIL: merging a version-2 artifact wrote an output" >&2
+  exit 1
+fi
+echo "OK: merge_results refuses a version-2 artifact, naming it"
 
 # The fig09 sweep (a SweepCampaign grid of frequency x workload cells)
 # through the same sharded path: 5 points over one kernel at a small scale.

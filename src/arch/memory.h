@@ -54,7 +54,9 @@ class SparseMemory {
   /// (rounded out to page boundaries). Existing page contents in the range
   /// are absorbed into the flat store; accesses inside the window then skip
   /// the page map entirely. Call before (or after) populating — semantics
-  /// are unchanged either way. Must not be called on a frozen memory.
+  /// are unchanged either way. A memory holds one window: a second call
+  /// once one is installed, or any call on a frozen memory, throws
+  /// std::logic_error.
   void reserve_flat(Addr base, std::size_t bytes);
 
   /// Reads `size` bytes (1, 2, 4 or 8) little-endian, zero-extended.
@@ -132,12 +134,14 @@ class SparseMemory {
   /// True once freeze() (or fork()) has converted this memory to CoW mode.
   bool is_cow() const { return cow_; }
 
-  /// Order-independent FNV-1a digest of the full touched contents: each
-  /// non-zero 4 KiB page hashes (absolute page number, 4096 bytes) and the
-  /// per-page hashes XOR-combine. All-zero pages are skipped, so the value
-  /// is independent of representation — flat window vs sparse pages vs CoW
-  /// backing+overlay all digest identically, and two memories holding the
-  /// same bytes always agree.
+  /// Order-independent digest of the full touched contents: each non-zero
+  /// 4 KiB page hashes (absolute page number, 4096 bytes) with a
+  /// word-at-a-time four-lane hash (XXH64 seeded with the page number;
+  /// docs/formats.md specifies it) and the per-page hashes XOR-combine.
+  /// All-zero pages are skipped, so the value is independent of
+  /// representation — flat window vs sparse pages vs CoW backing+overlay
+  /// all digest identically, and two memories holding the same bytes
+  /// always agree.
   std::uint64_t digest() const;
 
   /// Writes the low `size` bytes of `value` little-endian.

@@ -1,8 +1,10 @@
-// FNV-1a 64-bit: the repo's one non-cryptographic content hash. Journal
-// record checksums (runtime/serialize) and driver-configuration
-// fingerprints (bench_util) both travel through the same artifact and
-// checkpoint files, so they must keep hashing identically — one
-// implementation, not per-user copies.
+// FNV-1a 64-bit: the repo's hash for short strings. Journal record
+// checksums (runtime/serialize) and driver-configuration fingerprints
+// (bench_util) both travel through the same artifact and checkpoint
+// files, so they must keep hashing identically — one implementation, not
+// per-user copies. Memory pages have their own word-at-a-time hash
+// (SparseMemory::digest in arch/memory.cc): byte-serial FNV is too slow
+// for megabytes.
 #pragma once
 
 #include <cstdint>

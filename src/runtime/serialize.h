@@ -30,9 +30,12 @@ namespace paradet::runtime {
 
 inline constexpr const char* kArtifactFormatName = "paradet-campaign";
 /// Version 2: RunResult gained "mem_digest" (final-memory digest, used by
-/// silent-corruption classification). Older artifacts are rejected loudly
-/// rather than read with a zero digest, which would silently misclassify.
-inline constexpr std::uint64_t kArtifactFormatVersion = 2;
+/// silent-corruption classification). Version 3: "mem_digest" comes from a
+/// new page hash (docs/formats.md), so old and new values never compare.
+/// Older artifacts are rejected loudly: a version-1 digest would read back
+/// as zero and a version-2 one would match no clean run of this build, and
+/// either would silently misclassify.
+inline constexpr std::uint64_t kArtifactFormatVersion = 3;
 
 // --- Canonical JSON writers ------------------------------------------------
 
@@ -86,8 +89,8 @@ CampaignArtifact read_artifact_file(const std::string& path);
 
 inline constexpr const char* kJournalFormatName = "paradet-campaign-journal";
 /// Bumped in lockstep with kArtifactFormatVersion: journal records embed
-/// the same RunResult encoding.
-inline constexpr std::uint64_t kJournalFormatVersion = 2;
+/// the same RunResult encoding, "mem_digest" included.
+inline constexpr std::uint64_t kJournalFormatVersion = 3;
 
 /// Identity of the campaign slice a journal belongs to. Stored in the
 /// journal's header line and validated on replay.

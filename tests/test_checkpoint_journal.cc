@@ -16,6 +16,7 @@
 
 #include "common/rng.h"
 #include "runtime/campaign.h"
+#include "runtime/canonical_json.h"
 #include "runtime/parallel_runner.h"
 #include "runtime/serialize.h"
 
@@ -386,6 +387,39 @@ TEST(CheckpointJournal, NonJournalFileIsRefusedAndLeftUntouched) {
     EXPECT_EQ(read_file(ckpt), c.bytes) << c.name;
     std::remove(ckpt.c_str());
   }
+}
+
+TEST(CheckpointJournal, Version2JournalIsRefusedAndLeftUntouched) {
+  // A version-2 journal holds digests of the old page hash. Resuming it
+  // would compare them with this build's clean digest and call every
+  // masked strike silent corruption, so resume refuses it — naming the
+  // file and the version — and leaves its bytes alone.
+  const Campaign campaign(kTasks, kSeed);
+  const std::string ckpt = fresh_path("journal_v2.json");
+  { JournalWriter writer(ckpt, header_for(campaign)); }
+  const std::string header_line = read_file(ckpt);
+  const std::string current =
+      "\"version\":" + std::to_string(kJournalFormatVersion) + ",";
+  // Strip the "<16 hex checksum> " prefix and the trailing newline.
+  std::string payload = header_line.substr(17, header_line.size() - 18);
+  const std::size_t at = payload.find(current);
+  ASSERT_NE(at, std::string::npos) << payload;
+  payload.replace(at, current.size(), "\"version\":2,");
+  const std::string v2 = json::checksum_line(payload) +
+                         journal_record_line(0, synthetic_result(1));
+  write_file(ckpt, v2);
+  CampaignRunOptions options;
+  options.checkpoint_path = ckpt;
+  try {
+    campaign.run_sharded(ParallelRunner(1), options, synthetic_task);
+    ADD_FAILURE() << "resumed from a version-2 journal";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(ckpt), std::string::npos) << what;
+    EXPECT_NE(what.find("version 2"), std::string::npos) << what;
+  }
+  EXPECT_EQ(read_file(ckpt), v2);
+  std::remove(ckpt.c_str());
 }
 
 TEST(CheckpointJournal, ShardedCrashResumeStillMergesByteIdentically) {

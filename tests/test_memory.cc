@@ -2,8 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <iterator>
+#include <unordered_set>
+#include <vector>
 
 #include "arch/memory.h"
+#include "common/rng.h"
 
 namespace paradet::arch {
 namespace {
@@ -91,6 +95,16 @@ TEST(SparseMemoryFlat, AbsorbsExistingPages) {
   EXPECT_EQ(memory.read(0x20000, 1), 0xAAu);
   // The in-window page was folded into the flat store.
   EXPECT_EQ(memory.pages_allocated(), 1u);
+}
+
+TEST(SparseMemoryFlat, SecondWindowIsRejectedAndKeepsTheFirst) {
+  // Installing a second window would replace the first and drop its bytes.
+  SparseMemory memory;
+  memory.reserve_flat(0, 0x2000);
+  memory.write(0x1008, 0xDEADBEEF, 4);
+  EXPECT_THROW(memory.reserve_flat(0x10000, 0x1000), std::logic_error);
+  EXPECT_EQ(memory.read(0x1008, 4), 0xDEADBEEFu);
+  EXPECT_EQ(memory.flat_bytes(), 0x2000u);
 }
 
 TEST(SparseMemoryFlat, SegmentBoundaryAccessesSplitCorrectly) {
@@ -353,6 +367,130 @@ TEST(SparseMemoryDigest, RepresentationIndependent) {
   EXPECT_EQ(flat.digest(), sparse.digest());
   EXPECT_EQ(flat.digest(), cow_child.digest());
   EXPECT_NE(flat.digest(), cow_parent.digest());  // parent lacks 0x1008.
+}
+
+struct Write {
+  Addr addr;
+  std::uint64_t value;
+  unsigned size;
+};
+
+/// Seeded writes of 1-8 bytes over the window [0, 0x8000) used below, the
+/// two pages just past it, and two far pages. Some straddle a page edge
+/// (the window's top edge among them); some rewrite a whole page to zero,
+/// and the last always does.
+std::vector<Write> random_writes(std::uint64_t seed) {
+  constexpr std::uint64_t kPages[] = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9,
+                                      0x300, 0x301};
+  constexpr Addr kPageBytes = SparseMemory::kPageBytes;
+  SplitMix64 rng(seed);
+  const auto zero_page = [](std::vector<Write>& out, Addr page) {
+    for (Addr at = 0; at < kPageBytes; at += 8) {
+      out.push_back({page + at, 0, 8});
+    }
+  };
+  std::vector<Write> writes;
+  Addr page = 0;
+  for (int op = 0; op < 400; ++op) {
+    page = kPages[rng.next_below(std::size(kPages))] << SparseMemory::kPageBits;
+    const unsigned choice = static_cast<unsigned>(rng.next_below(16));
+    if (choice == 0) {
+      zero_page(writes, page);
+    } else if (choice < 5) {  // straddles the page's top edge.
+      const auto size = static_cast<unsigned>(2 + rng.next_below(7));
+      writes.push_back(
+          {page + kPageBytes - 1 - rng.next_below(size - 1), rng.next(), size});
+    } else {
+      const auto size = static_cast<unsigned>(1 + rng.next_below(8));
+      writes.push_back({page + rng.next_below(kPageBytes), rng.next(), size});
+    }
+  }
+  zero_page(writes, page);
+  return writes;
+}
+
+TEST(SparseMemoryDigest, RepresentationIndependentUnderRandomWrites) {
+  // The same seeded writes through a private flat window, plain sparse
+  // pages, a CoW child whose frozen parent took a random prefix of them,
+  // and a clone of that child: all four digest identically.
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    const std::vector<Write> writes = random_writes(seed);
+    const std::size_t prefix = SplitMix64(~seed).next_below(writes.size() + 1);
+    SparseMemory flat;
+    flat.reserve_flat(0, 0x8000);
+    SparseMemory sparse;
+    SparseMemory cow_parent;
+    cow_parent.reserve_flat(0, 0x8000);
+    for (std::size_t i = 0; i < writes.size(); ++i) {
+      const Write& w = writes[i];
+      flat.write(w.addr, w.value, w.size);
+      sparse.write(w.addr, w.value, w.size);
+      if (i < prefix) cow_parent.write(w.addr, w.value, w.size);
+    }
+    SparseMemory cow_child = cow_parent.fork();
+    for (std::size_t i = prefix; i < writes.size(); ++i) {
+      cow_child.write(writes[i].addr, writes[i].value, writes[i].size);
+    }
+    const std::uint64_t want = flat.digest();
+    EXPECT_NE(want, 0u) << "seed " << seed;
+    EXPECT_EQ(sparse.digest(), want) << "seed " << seed;
+    EXPECT_EQ(cow_child.digest(), want) << "seed " << seed;
+    EXPECT_EQ(cow_child.clone().digest(), want) << "seed " << seed;
+  }
+}
+
+/// One 4 KiB page whose byte i is i mod 256.
+std::vector<std::uint8_t> ramp_page() {
+  std::vector<std::uint8_t> bytes(SparseMemory::kPageBytes);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::uint8_t>(i);
+  }
+  return bytes;
+}
+
+TEST(SparseMemoryDigest, GoldenVectors) {
+  // Every artifact's `mem_digest` is this function's value, so changing
+  // it re-keys every artifact and checkpoint: that takes a format version
+  // bump (docs/formats.md), not an accident. The values are XXH64 per
+  // page, seeded with the page number, XOR-combined.
+  SparseMemory one_byte;
+  one_byte.write(0x1000, 0x01, 1);
+  EXPECT_EQ(one_byte.digest(), 0x0BF765B41DB83CA2ULL);
+
+  SparseMemory high_page;  // page number 2^32 + 3.
+  high_page.write_block(
+      ((std::uint64_t{1} << 32) + 3) << SparseMemory::kPageBits, ramp_page());
+  EXPECT_EQ(high_page.digest(), 0xC80A3A3F2318B9BDULL);
+
+  SparseMemory windowed;  // window pages 0 and 2 non-zero, page 1 zero.
+  windowed.reserve_flat(0, 0x3000);
+  windowed.write(0x0010, 0x0123456789ABCDEFULL, 8);
+  windowed.write(0x2FF8, 0xFEDCBA9876543210ULL, 8);
+  windowed.write(0x40000, 0xCAFE, 2);  // a sparse page outside the window.
+  EXPECT_EQ(windowed.digest(), 0xA04598CE7374F180ULL);
+}
+
+TEST(SparseMemoryDigest, EveryWordAndBitReachesTheDigest) {
+  // Flipping bit 0, 31, 32 or 63 of any of a page's 512 words gives 2,048
+  // distinct digests. A dropped lane loses a quarter of the words; a
+  // multiply-only round sends every bit-63 flip in a lane to one value.
+  constexpr Addr kBase = 0x5000;
+  SparseMemory memory;
+  memory.write_block(kBase, ramp_page());
+  const std::uint64_t clean = memory.digest();
+  std::unordered_set<std::uint64_t> seen;
+  for (Addr at = kBase; at < kBase + SparseMemory::kPageBytes; at += 8) {
+    const std::uint64_t word = memory.read(at, 8);
+    for (const unsigned bit : {0u, 31u, 32u, 63u}) {
+      memory.write(at, word ^ (std::uint64_t{1} << bit), 8);
+      const std::uint64_t flipped = memory.digest();
+      EXPECT_NE(flipped, clean) << "word at " << at << ", bit " << bit;
+      seen.insert(flipped);
+    }
+    memory.write(at, word, 8);
+  }
+  EXPECT_EQ(seen.size(), 2048u);
+  EXPECT_EQ(memory.digest(), clean);
 }
 
 TEST(SparseMemoryDigest, ZeroPagesDoNotContribute) {
