@@ -1,4 +1,4 @@
-// Ablation studies for the design choices DESIGN.md calls out:
+// Ablation studies for four design choices of the model:
 //   A1. load forwarding unit on/off  -> §IV-C window of vulnerability
 //       (coverage, not performance).
 //   A2. L2 stride prefetcher on/off  -> memory-bound baseline IPC.

@@ -35,10 +35,10 @@ struct MainCoreConfig {
   /// Fetch-to-dispatch depth (fetch/decode/rename stages).
   unsigned frontend_depth_cycles = 4;
   /// Memory dependence handling. True models a trained store-set style
-  /// predictor (loads issue freely; exact-address store-to-load forwarding
-  /// still applies). False is the conservative scheme where loads wait for
-  /// all older store addresses -- an ablation that kills memory-level
-  /// parallelism on irregular workloads.
+  /// predictor (loads issue freely; a load still forwards from the youngest
+  /// older store that fully contains it). False is the conservative scheme
+  /// where loads wait for all older store addresses -- an ablation that
+  /// kills memory-level parallelism on irregular workloads.
   bool perfect_memory_disambiguation = true;
 };
 

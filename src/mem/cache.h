@@ -5,7 +5,8 @@
 // The model is "latency-resolving": an access at cycle `when` immediately
 // returns its data-ready cycle, computed from tag state, in-flight fills
 // and next-level latency. This matches the dependence-driven scheduling
-// style of sim::OoOCore (see DESIGN.md §6).
+// style of sim::OoOCore, which asks for a load's data-ready cycle when it
+// schedules the load.
 //
 // Hot-path layout: tag state is structure-of-arrays — one packed
 // `(tag << 1) | valid` word per way (so a lookup compares a single load

@@ -4,7 +4,7 @@
 // data reads hit the segment's log SRAM). All cycles here are *checker*
 // cycles; the simulation run converts to the global domain via ClockDomain.
 //
-// Modelling notes (see DESIGN.md §6):
+// Modelling notes:
 //  * The shared L1I is modelled as a shared tag array without port
 //    contention; an L0 miss pays a fixed penalty to reach it and an L1
 //    miss pays the main L2's latency (the instructions were fetched by the

@@ -2,53 +2,68 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 
 namespace paradet::sim {
 
 OoOCore::OoOCore(const SystemConfig& config, mem::Cache& l1i, mem::Cache& l1d)
     : config_(config.main_core),
-      l1i_(l1i),
-      l1d_(l1d),
+      l1i_(&l1i),
+      l1d_(&l1d),
       predictor_(config.branch_predictor),
       int_slots_(config.main_core.int_alus),
       fp_slots_(config.main_core.fp_alus),
       muldiv_slots_(config.main_core.muldiv_alus),
-      rob_commit_ring_(config.main_core.rob_entries, 0),
+      rob_ring_(config.main_core.rob_entries),
       store_ring_(config.main_core.sq_entries) {}
 
 OoOCore::OoOCore(const OoOCore& other, mem::Cache& l1i, mem::Cache& l1d)
-    : config_(other.config_),
-      l1i_(l1i),
-      l1d_(l1d),
-      predictor_(other.predictor_),
-      fetch_cycle_(other.fetch_cycle_),
-      fetched_in_cycle_(other.fetched_in_cycle_),
-      redirect_min_(other.redirect_min_),
-      last_fetch_line_(other.last_fetch_line_),
-      last_dispatch_cycle_(other.last_dispatch_cycle_),
-      dispatched_in_cycle_(other.dispatched_in_cycle_),
-      int_slots_(other.int_slots_),
-      fp_slots_(other.fp_slots_),
-      muldiv_slots_(other.muldiv_slots_),
-      fp_unpipelined_busy_(other.fp_unpipelined_busy_),
-      muldiv_unpipelined_busy_(other.muldiv_unpipelined_busy_),
-      rob_commit_ring_(other.rob_commit_ring_),
-      rob_head_(other.rob_head_),
-      rob_count_(other.rob_count_),
-      iq_issue_deadlines_(other.iq_issue_deadlines_),
-      lq_commit_deadlines_(other.lq_commit_deadlines_),
-      sq_commit_deadlines_(other.sq_commit_deadlines_),
-      last_retired_commit_(other.last_retired_commit_),
-      store_ring_(other.store_ring_),
-      store_head_(other.store_head_),
-      store_count_(other.store_count_),
-      last_store_agu_(other.last_store_agu_),
-      pending_valid_(other.pending_valid_),
-      pending_(other.pending_),
-      mispredicts_(other.mispredicts_),
-      scheduled_(other.scheduled_) {
-  std::copy(std::begin(other.reg_ready_), std::end(other.reg_ready_),
-            std::begin(reg_ready_));
+    : OoOCore(other) {
+  l1i_ = &l1i;
+  l1d_ = &l1d;
+}
+
+void OoOCore::IssueDeadlines::add(Cycle issue) {
+  if (issue - drained_ <= kSpan) {
+    ++counts_[issue & kMask];
+    ++ring_live_;
+  } else {
+    overflow_.insert(std::upper_bound(overflow_.begin(), overflow_.end(),
+                                      issue, std::greater<Cycle>()),
+                     issue);
+  }
+}
+
+Cycle OoOCore::IssueDeadlines::admit(Cycle dispatch, unsigned entries) {
+  for (;;) {
+    drain(dispatch);
+    if (ring_live_ + overflow_.size() < entries) return dispatch;
+    dispatch = earliest() + 1;
+  }
+}
+
+void OoOCore::IssueDeadlines::drain(Cycle through) {
+  if (through <= drained_) return;
+  // Past drained_ + kSpan the ring holds nothing, and once ring_live_ is
+  // zero every remaining slot is zero already.
+  const Cycle stop = std::min(through, drained_ + kSpan);
+  for (Cycle cycle = drained_ + 1; ring_live_ != 0 && cycle <= stop; ++cycle) {
+    ring_live_ -= counts_[cycle & kMask];
+    counts_[cycle & kMask] = 0;
+  }
+  drained_ = through;
+  while (!overflow_.empty() && overflow_.back() <= through) {
+    overflow_.pop_back();
+  }
+}
+
+Cycle OoOCore::IssueDeadlines::earliest() const {
+  const Cycle overflow = overflow_.empty() ? kCycleNever : overflow_.back();
+  if (ring_live_ == 0) return overflow;
+  // A live slot lies within kSpan cycles, so the scan stops by then.
+  Cycle cycle = drained_ + 1;
+  while (cycle < overflow && counts_[cycle & kMask] == 0) ++cycle;
+  return cycle;
 }
 
 void OoOCore::fetch_bubble(Cycle from, unsigned cycles) {
@@ -60,30 +75,48 @@ void OoOCore::fetch_bubble(Cycle from, unsigned cycles) {
   }
 }
 
-/// One queue constraint: at the candidate dispatch cycle, fewer than
-/// `entries` occupants may remain (deadline still in the future); otherwise
-/// dispatch retries just past the earliest-releasing occupant. `queue` holds
-/// the deadlines of live occupants plus possibly-stale entries whose
-/// deadline already passed — draining `front() <= dispatch` removes both the
-/// released and the stale ones, so `size()` is exactly the occupancy a scan
-/// of the in-flight window would count.
-Cycle OoOCore::constrain_queue(DeadlineQueue& queue, unsigned entries,
-                               Cycle dispatch) {
+/// The LQ or SQ limit: at the candidate dispatch cycle, fewer than
+/// `entries` of the window's loads (or stores, per `kind`) may still be
+/// uncommitted; otherwise dispatch retries one cycle past the earliest of
+/// their commits. The window's commit cycles are sorted, so the committed
+/// occupants are a prefix and the earliest uncommitted one of `kind` is
+/// the first after it. `in_window` counts the window's occupants of
+/// `kind`.
+Cycle OoOCore::window_queue_limit(Cycle dispatch, bool RobSlot::*kind,
+                                  unsigned in_window,
+                                  unsigned entries) const {
+  const auto slot = [this](std::size_t age) -> const RobSlot& {
+    std::size_t index = rob_head_ + age;
+    if (index >= rob_ring_.size()) index -= rob_ring_.size();
+    return rob_ring_[index];
+  };
+  std::size_t age = 0;
+  unsigned live = in_window;
   for (;;) {
-    while (!queue.empty() && queue.front() <= dispatch) queue.pop_front();
-    if (queue.size() < entries) return dispatch;
-    dispatch = queue.front() + 1;
+    for (; age < rob_count_ && slot(age).commit <= dispatch; ++age) {
+      if (slot(age).*kind) --live;
+    }
+    if (live < entries) return dispatch;
+    while (!(slot(age).*kind)) ++age;
+    dispatch = slot(age).commit + 1;
   }
 }
 
 Cycle OoOCore::apply_queue_limits(Cycle dispatch) {
   // Issue queue: micro-ops dispatched but not yet issued occupy IQ slots.
-  dispatch = constrain_queue(iq_issue_deadlines_, config_.iq_entries, dispatch);
-  // Load queue: loads occupy LQ from dispatch to commit.
-  dispatch = constrain_queue(lq_commit_deadlines_, config_.lq_entries,
-                             dispatch);
+  dispatch = iq_.admit(dispatch, config_.iq_entries);
+  // Load queue: loads occupy LQ from dispatch to commit. It can only be
+  // full when the window holds at least lq_entries loads.
+  if (rob_loads_ >= config_.lq_entries) {
+    dispatch = window_queue_limit(dispatch, &RobSlot::is_load, rob_loads_,
+                                  config_.lq_entries);
+  }
   // Store queue likewise.
-  return constrain_queue(sq_commit_deadlines_, config_.sq_entries, dispatch);
+  if (rob_stores_ >= config_.sq_entries) {
+    dispatch = window_queue_limit(dispatch, &RobSlot::is_store, rob_stores_,
+                                  config_.sq_entries);
+  }
+  return dispatch;
 }
 
 void OoOCore::resolve_control(const UopDesc& desc, const UopTiming& timing,
@@ -152,8 +185,8 @@ UopTiming OoOCore::schedule(const UopDesc& desc) {
     const Addr line = desc.pc & ~Addr{63};
     if (line != last_fetch_line_) {
       const Cycle ready =
-          l1i_.access(line, /*write=*/false, fetch_cycle_, /*pc=*/0);
-      const Cycle pipelined_hit = fetch_cycle_ + l1i_.config().hit_latency;
+          l1i_->access(line, /*write=*/false, fetch_cycle_, /*pc=*/0);
+      const Cycle pipelined_hit = fetch_cycle_ + l1i_->config().hit_latency;
       if (ready > pipelined_hit) {
         // An i-cache miss stalls fetch for the excess over the pipelined
         // hit latency.
@@ -179,7 +212,7 @@ UopTiming OoOCore::schedule(const UopDesc& desc) {
   // ROB occupancy: the oldest in-flight micro-op must have committed for a
   // new one to enter a full window.
   if (rob_count_ >= config_.rob_entries) {
-    dispatch = std::max(dispatch, rob_commit_ring_[rob_head_] + 1);
+    dispatch = std::max(dispatch, rob_ring_[rob_head_].commit + 1);
   }
   dispatch = apply_queue_limits(dispatch);
   if (dispatch != last_dispatch_cycle_) {
@@ -244,7 +277,7 @@ UopTiming OoOCore::schedule(const UopDesc& desc) {
       // drained by commit order anyway (conservative).
     }
     if (!forwarded) {
-      complete = l1d_.access(desc.mem_addr, /*write=*/false, issue, desc.pc);
+      complete = l1d_->access(desc.mem_addr, /*write=*/false, issue, desc.pc);
     }
     timing.store_forwarded = forwarded;
   } else if (desc.is_store) {
@@ -284,19 +317,23 @@ void OoOCore::retire(Cycle commit_cycle) {
   assert(commit_cycle >= last_retired_commit_ &&
          "in-order commit: retire cycles must be non-decreasing");
   last_retired_commit_ = commit_cycle;
+  const RobSlot entry{commit_cycle, pending_.is_load, pending_.is_store};
   if (rob_count_ == config_.rob_entries) {
     // Full ring: the freed head slot is exactly where the new tail lands.
-    rob_commit_ring_[rob_head_] = commit_cycle;
-    if (++rob_head_ == rob_commit_ring_.size()) rob_head_ = 0;
+    RobSlot& head = rob_ring_[rob_head_];
+    rob_loads_ -= head.is_load;
+    rob_stores_ -= head.is_store;
+    head = entry;
+    if (++rob_head_ == rob_ring_.size()) rob_head_ = 0;
   } else {
     std::size_t tail = rob_head_ + rob_count_;
-    if (tail >= rob_commit_ring_.size()) tail -= rob_commit_ring_.size();
-    rob_commit_ring_[tail] = commit_cycle;
+    if (tail >= rob_ring_.size()) tail -= rob_ring_.size();
+    rob_ring_[tail] = entry;
     ++rob_count_;
   }
-  iq_issue_deadlines_.insert(pending_.issue);
-  if (pending_.is_load) lq_commit_deadlines_.insert(commit_cycle);
-  if (pending_.is_store) sq_commit_deadlines_.insert(commit_cycle);
+  rob_loads_ += entry.is_load;
+  rob_stores_ += entry.is_store;
+  iq_.add(pending_.issue);
   pending_valid_ = false;
 }
 

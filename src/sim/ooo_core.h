@@ -9,9 +9,11 @@
 // how commit-side stalls create back-pressure: retire cycles bound ROB
 // occupancy, which bounds dispatch, which stalls fetch.
 //
-// Wrong-path execution is folded into the redirect penalty (see DESIGN.md
-// §6). Memory disambiguation defaults to a trained store-set model (loads
-// issue freely, exact-match store-to-load forwarding); the conservative
+// Wrong-path micro-ops are not simulated: they never commit, so they never
+// reach the load-store log or the checkers, and their cost is folded into
+// the redirect penalty. Memory disambiguation defaults to a trained
+// store-set model (loads issue freely and forward from the youngest older
+// store that fully contains them); the conservative
 // wait-for-all-older-store-addresses scheme is available as an ablation
 // (MainCoreConfig::perfect_memory_disambiguation).
 #pragma once
@@ -69,10 +71,10 @@ class OoOCore {
   OoOCore(const SystemConfig& config, mem::Cache& l1i, mem::Cache& l1d);
 
   /// Rewiring copy for warm-state capture: duplicates `other`'s complete
-  /// timing state (predictor, front-end cycles, issue slots, occupancy
-  /// heaps, windows, counters) but reads through the given caches, which
-  /// must themselves be copies of `other`'s.
+  /// timing state but reads through the given caches, which must
+  /// themselves be copies of `other`'s.
   OoOCore(const OoOCore& other, mem::Cache& l1i, mem::Cache& l1d);
+  OoOCore& operator=(const OoOCore&) = delete;
 
   /// Schedules the next micro-op in program order. Must be followed by
   /// exactly one retire() for this micro-op before the next schedule().
@@ -81,7 +83,8 @@ class OoOCore {
   /// Informs the core of the micro-op's commit cycle (computed by the
   /// caller from complete + commit bandwidth + detection-side stalls).
   /// Commit cycles must be non-decreasing across retires (in-order
-  /// commit); the incremental queue-occupancy tracking relies on it.
+  /// commit); the LQ/SQ occupancy walk relies on the ROB window's commit
+  /// cycles being sorted.
   void retire(Cycle commit_cycle);
 
   std::uint64_t branch_mispredicts() const { return mispredicts_; }
@@ -90,9 +93,17 @@ class OoOCore {
 
  private:
   /// The schedule()d micro-op awaiting its retire(): just what retire
-  /// needs to file the queue-occupancy deadlines.
+  /// needs to file it in the ROB window and the IQ.
   struct InFlight {
     Cycle issue = 0;
+    bool is_load = false;
+    bool is_store = false;
+  };
+
+  /// One ROB window slot. The LQ and SQ hold exactly the window's loads
+  /// and stores that have not committed, so the flags are all they need.
+  struct RobSlot {
+    Cycle commit = 0;
     bool is_load = false;
     bool is_store = false;
   };
@@ -144,60 +155,54 @@ class OoOCore {
     std::array<Slot, kMask + 1> table_{};
   };
 
-  /// Sorted multiset of cycle deadlines with lazy removal: entries whose
-  /// deadline has passed the (monotonically rising) dispatch candidate are
-  /// dropped from the front on the next query instead of eagerly. Backs
-  /// the incremental IQ/LQ/SQ occupancy tracking in apply_queue_limits.
-  ///
-  /// Deliberately not a binary heap: the deadline streams the core
-  /// produces are sorted (LQ/SQ hold commit cycles, which in-order commit
-  /// makes non-decreasing) or nearly sorted (IQ issue cycles), so a flat
-  /// sorted buffer inserted by scanning back from the tail does O(1)
-  /// amortised work where priority_queue pays a branchy O(log n) sift on
-  /// every push and pop — this structure was the single hottest item in
-  /// a gprof profile of the checked Table II suite.
-  class DeadlineQueue {
+  /// IQ occupancy: the issue cycles of retired micro-ops, counted while
+  /// they are still ahead of the dispatch cycle the queue was last
+  /// drained to. Deadlines up to kSpan cycles ahead are per-cycle counts
+  /// in a ring indexed by cycle, so filing one is an increment; a later
+  /// one (the tail of a dependent miss chain) goes to a short sorted
+  /// overflow list instead of aliasing an earlier cycle's slot.
+  class IssueDeadlines {
    public:
-    bool empty() const { return head_ == data_.size(); }
-    std::size_t size() const { return data_.size() - head_; }
-    Cycle front() const { return data_[head_]; }
+    /// Files the issue cycle of a micro-op dispatched at or after the
+    /// last admit() result, hence after the drain point.
+    void add(Cycle issue);
 
-    void pop_front() {
-      ++head_;
-      // Reclaim the dead prefix once it dominates the buffer.
-      if (head_ >= 1024 && head_ * 2 >= data_.size()) {
-        data_.erase(data_.begin(),
-                    data_.begin() + static_cast<std::ptrdiff_t>(head_));
-        head_ = 0;
-      }
-    }
-
-    void insert(Cycle value) {
-      std::size_t pos = data_.size();
-      data_.push_back(value);
-      while (pos > head_ && data_[pos - 1] > value) {
-        data_[pos] = data_[pos - 1];
-        --pos;
-      }
-      data_[pos] = value;
-    }
+    /// The first dispatch cycle from `dispatch` at which fewer than
+    /// `entries` deadlines lie in the future. Candidates must not
+    /// decrease across calls. When the queue is full, dispatch retries
+    /// one cycle past the earliest deadline.
+    Cycle admit(Cycle dispatch, unsigned entries);
 
    private:
-    std::vector<Cycle> data_;
-    std::size_t head_ = 0;
+    static constexpr std::size_t kSpan = 1024;
+    static constexpr Cycle kMask = kSpan - 1;
+
+    void drain(Cycle through);
+    Cycle earliest() const;
+
+    /// counts_[c & kMask] is the number of deadlines at cycle c, for c in
+    /// (drained_, drained_ + kSpan]; every other slot is zero.
+    std::array<std::uint32_t, kSpan> counts_{};
+    std::uint32_t ring_live_ = 0;  ///< sum of counts_.
+    Cycle drained_ = 0;            ///< every deadline <= this is gone.
+    std::vector<Cycle> overflow_;  ///< descending: earliest at the back.
   };
 
-  static Cycle constrain_queue(DeadlineQueue& queue, unsigned entries,
-                               Cycle dispatch);
+  Cycle window_queue_limit(Cycle dispatch, bool RobSlot::*kind,
+                           unsigned in_window, unsigned entries) const;
 
   void fetch_bubble(Cycle from, unsigned cycles);
   Cycle apply_queue_limits(Cycle dispatch);
   void resolve_control(const UopDesc& desc, const UopTiming& timing,
                        UopTiming* out);
 
+  /// The member-wise copy, still reading through `other`'s caches; only
+  /// the rewiring copy may use it.
+  OoOCore(const OoOCore& other) = default;
+
   MainCoreConfig config_;
-  mem::Cache& l1i_;
-  mem::Cache& l1d_;
+  mem::Cache* l1i_;
+  mem::Cache* l1d_;
   /// Pluggable front end (direction predictor + BTB + RAS); the default
   /// tournament configuration is byte-identical to the legacy
   /// TournamentPredictor.
@@ -223,22 +228,17 @@ class OoOCore {
   Cycle fp_unpipelined_busy_ = 0;
   Cycle muldiv_unpipelined_busy_ = 0;
 
-  // In-flight window (at most rob_entries micro-ops). Only the oldest
-  // occupant's commit cycle is ever read (the full-ROB dispatch bound), so
-  // the window is a fixed ring of commit cycles, not a deque of records.
-  std::vector<Cycle> rob_commit_ring_;
+  // In-flight window: the last rob_entries retired micro-ops, a fixed ring
+  // in commit order. A micro-op that has left it committed no later than
+  // the oldest occupant, and once the ring is full every dispatch
+  // candidate is past that occupant's commit, so the LQ and SQ need look
+  // no further than the ring.
+  std::vector<RobSlot> rob_ring_;
   std::size_t rob_head_ = 0;   ///< index of the oldest occupant.
   std::size_t rob_count_ = 0;  ///< occupants; ring is full at rob_entries.
-  // Queue-occupancy deadlines of in-flight micro-ops: issue cycles of
-  // every micro-op (IQ) and commit cycles of loads (LQ) / stores (SQ).
-  // Entries evicted from the ROB ring always have commit <= every later
-  // dispatch candidate (commit cycles are monotone and a full ROB bounds
-  // dispatch below by oldest commit + 1), so their stale queue entries
-  // drain before they could ever be counted — the queues stay exactly
-  // equivalent to rescanning the in-flight window.
-  DeadlineQueue iq_issue_deadlines_;
-  DeadlineQueue lq_commit_deadlines_;
-  DeadlineQueue sq_commit_deadlines_;
+  unsigned rob_loads_ = 0;     ///< loads among the occupants.
+  unsigned rob_stores_ = 0;    ///< stores among the occupants.
+  IssueDeadlines iq_;
   Cycle last_retired_commit_ = 0;
   // Recent stores for forwarding/disambiguation (at most sq_entries), a
   // fixed ring scanned youngest-first on every load — contiguous storage,

@@ -5,7 +5,9 @@
 // not reproducible here, so each is replaced by a kernel with the same
 // *characterisation* — the property the paper's figures actually
 // discriminate on (memory-bound vs compute-bound, integer vs fp, regular
-// vs irregular). See DESIGN.md §1 for the substitution argument.
+// vs irregular). Those properties set how fast the load-store log fills
+// and how much overlap the out-of-order core finds, which is what the
+// figures measure, so a kernel that shares them stands in for the binary.
 //
 //   randacc       irregular memory-bound: LCG-indexed read-modify-write
 //                 over a 2 MiB table (GUPS-style).
