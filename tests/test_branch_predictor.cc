@@ -8,6 +8,7 @@
 #include <cstdint>
 
 #include "common/config.h"
+#include "common/hash.h"
 #include "sim/branch_predictor.h"
 #include "sim/frontend.h"
 
@@ -141,6 +142,70 @@ TEST(Tournament, LoopBranchWellPredicted) {
   }
   // At most the loop-exit surprise per round after warmup.
   EXPECT_LE(mispredicts, 30);
+}
+
+void mix_prediction(Fnv1a64& hash, const BranchPrediction& prediction) {
+  hash.mix_byte(prediction.taken ? 1 : 0);
+  hash.mix_byte(prediction.btb_hit ? 1 : 0);
+  hash.mix_u64(prediction.target);
+  hash.mix_byte(prediction.used_ras ? 1 : 0);
+}
+
+/// Drives a seeded 20,000-op stream through a predictor built from
+/// `config` and hashes every prediction and, after each op, the three
+/// counters. The stream aliases pcs (977 distinct, so BTB and table
+/// indices collide) and mixes conditional branches, direct jumps,
+/// indirect jumps and returns, return pushes and target mispredicts.
+std::uint64_t prediction_hash(const BranchPredictorConfig& config) {
+  TournamentPredictor predictor(config);
+  Fnv1a64 hash;
+  std::uint64_t rng = 0x9E3779B97F4A7C15ull;
+  const auto next = [&rng] {
+    rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+    return rng >> 33;
+  };
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t r = next();
+    const Addr pc = 0x1000 + (r % 977) * 4;
+    const Addr target = 0x40000 + (r % 613) * 4;
+    switch (next() % 5) {
+      case 0: {
+        const bool taken = (next() & 1) != 0;
+        const auto prediction = predictor.predict_branch(pc);
+        mix_prediction(hash, prediction);
+        predictor.update_branch(pc, taken, target, prediction);
+        break;
+      }
+      case 1:
+        mix_prediction(hash, predictor.predict_jump(pc));
+        predictor.update_jump(pc, target);
+        break;
+      case 2: {
+        const bool is_return = (next() & 1) != 0;
+        mix_prediction(hash, predictor.predict_indirect(pc, is_return));
+        predictor.update_jump(pc, target);
+        break;
+      }
+      case 3:
+        predictor.push_return(pc + 4);
+        break;
+      case 4:
+        predictor.note_target_mispredict();
+        break;
+    }
+    hash.mix_u64(predictor.direction_mispredicts());
+    hash.mix_u64(predictor.target_mispredicts());
+    hash.mix_u64(predictor.lookups());
+  }
+  return hash.value();
+}
+
+TEST(Tournament, GoldenPredictions) {
+  // The main core's mispredict penalties, and so every artifact's cycle
+  // counts, follow from these predictions: a predictor change that is
+  // meant to keep bytes must leave every field and counter identical.
+  EXPECT_EQ(prediction_hash(small_config()), 0xE9D82A6DAF705FC4ULL);
+  EXPECT_EQ(prediction_hash(BranchPredictorConfig{}), 0xA23A06A0173BDC37ULL);
 }
 
 BranchPredictorConfig variant_config(FrontEndKind kind) {
