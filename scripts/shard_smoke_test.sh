@@ -2,30 +2,29 @@
 # End-to-end smoke test for cross-process campaign sharding: run the fault
 # campaign example and the fig09 sweep reproduction as two shard processes
 # each, merge their artifacts with merge_results, and require the merged
-# file to be byte-identical to the file an unsharded run writes; then run
-# the same fig09 sweep through campaign_orchestrator (3 shards, one
-# injected SIGKILL + checkpoint restart) and require *its* merged artifact
-# to be byte-identical too, with exactly one checkpoint file per shard.
+# file to be byte-identical to the file an unsharded run writes. Then a
+# crash-resume drill: SIGKILL a checkpointed fig09 run once its journal
+# holds a record, re-run the same command, and require the resumed
+# artifact to be byte-identical to an uninterrupted run's, with the
+# journal the only checkpoint file.
 # Also checks that merge_results refuses a version-2 artifact by name,
 # that a re-run on a finished checkpoint rewrites identical bytes, that a
 # checkpoint path naming a non-journal file fails without touching it,
-# and the usage-error paths (empty --benchmark filter,
-# unknown and removed flags — --journal, --checkpoint-every,
-# --checker-batch, --frontend — and malformed --scale and --fork values).
-# Exercises the real CLI surface (flag parsing, artifact I/O, the merge
-# tool, the subprocess orchestrator) rather than the library entry points
-# the unit tests already cover.
+# and the usage-error paths (empty --benchmark filter, empty --out= and
+# --checkpoint= paths, unknown and removed flags — --journal,
+# --checkpoint-every, --checker-batch, --frontend — and malformed --scale
+# and --fork values). Exercises the real CLI surface (flag parsing,
+# artifact I/O, the merge tool, a killed process) rather than the library
+# entry points the unit tests already cover.
 set -euo pipefail
 
-if [[ $# -ne 4 ]]; then
-  echo "usage: $0 <example_fault_campaign> <merge_results> <bench_fig09>" \
-       "<campaign_orchestrator>" >&2
+if [[ $# -ne 3 ]]; then
+  echo "usage: $0 <example_fault_campaign> <merge_results> <bench_fig09>" >&2
   exit 2
 fi
 fault_campaign=$1
 merge_results=$2
 fig09=$3
-orchestrator=$4
 
 # Everything below lands in one fresh temp dir, removed on *every* exit —
 # success, failure or signal — so a failed step can never leave stale
@@ -93,41 +92,42 @@ if ! cmp "$workdir/fig09_merged.json" "$workdir/fig09_whole.json"; then
 fi
 echo "OK: 2-shard fig09 sweep merge is byte-identical to the unsharded artifact"
 
-# The orchestrator on the same sweep: 3 shard subprocesses, one injected
-# SIGKILL after checkpoint progress (then a restart that resumes from the
-# journal), auto-merge — and the merged file must still match the
-# unsharded artifact byte for byte.
-"$orchestrator" --shards=3 --jobs-per-shard=2 --run-dir="$workdir/orch" \
-    --inject-kill=1 --out="$workdir/orch_merged.json" \
-    -- "$fig09" "${fig09_flags[@]}" \
-    > "$workdir/orch.out" 2> "$workdir/orch.log"
-
-if ! cmp "$workdir/orch_merged.json" "$workdir/fig09_whole.json"; then
-  echo "FAIL: orchestrator-merged artifact differs from the unsharded one" >&2
-  exit 1
-fi
-# Either the kill landed mid-run ("restarting from its checkpoint") or
-# the shard outran it and was relaunched once anyway ("relaunching once");
-# both exercise the checkpoint-resume path.
-if ! grep -qE "restarting from its checkpoint|relaunching once" \
-    "$workdir/orch.log"; then
-  echo "FAIL: orchestrator log shows no restart (injected kill never hit)" >&2
-  cat "$workdir/orch.log" >&2
-  exit 1
-fi
-echo "OK: orchestrator (3 shards, injected kill + restart) merge is" \
-     "byte-identical to the unsharded artifact"
-
-# A checkpoint is one file: each shard leaves its journal and nothing
-# beside it.
-for k in 0 1 2; do
-  found=("$workdir/orch/shard_$k".ckpt*)
-  if [[ "${found[*]}" != "$workdir/orch/shard_$k.ckpt.json" ]]; then
-    echo "FAIL: shard $k left checkpoint files: ${found[*]}" >&2
-    exit 1
-  fi
+# Crash resume: SIGKILL a checkpointed run once its journal holds one
+# record (line 1 is the header), then re-run the same command. The resumed
+# run simulates only the unfinished tasks and must write the bytes an
+# uninterrupted run writes, leaving the journal as the only checkpoint
+# file.
+drill_flags=(--scale=0.05 --jobs=1)
+tasks=45  # 5 checker frequencies x 9 kernels.
+"$fig09" "${drill_flags[@]}" --out="$workdir/drill_whole.json" > /dev/null
+mkdir "$workdir/drill"
+journal="$workdir/drill/fig09.ckpt.json"
+"$fig09" "${drill_flags[@]}" --checkpoint="$journal" > /dev/null &
+pid=$!
+while kill -0 "$pid" 2> /dev/null; do
+  if [[ -f "$journal" && $(wc -l < "$journal") -ge 2 ]]; then break; fi
+  sleep 0.01
 done
-echo "OK: every shard has exactly one checkpoint file"
+kill -KILL "$pid" 2> /dev/null || true
+wait "$pid" 2> /dev/null || true
+records=$(($(wc -l < "$journal") - 1))
+if [[ $records -lt 1 || $records -gt $((tasks - 1)) ]]; then
+  echo "FAIL: the kill left $records of $tasks records, want 1..$((tasks - 1))" >&2
+  exit 1
+fi
+"$fig09" "${drill_flags[@]}" --checkpoint="$journal" \
+    --out="$workdir/drill_resumed.json" > /dev/null
+if ! cmp "$workdir/drill_resumed.json" "$workdir/drill_whole.json"; then
+  echo "FAIL: the resumed artifact differs from an uninterrupted run's" >&2
+  exit 1
+fi
+found=("$workdir/drill"/*)
+if [[ "${found[*]}" != "$journal" ]]; then
+  echo "FAIL: the killed run left checkpoint files: ${found[*]}" >&2
+  exit 1
+fi
+echo "OK: a run killed after $records of $tasks records resumes to the" \
+     "byte-identical artifact, with one checkpoint file"
 
 # A finished checkpoint re-runs nothing and rewrites the identical --out.
 "$fig09" "${fig09_flags[@]}" --checkpoint="$workdir/fig09.ckpt.json" \
@@ -183,6 +183,12 @@ expect_usage_error "$fig09" --benchmark=randacc --scale=abc
 expect_usage_error "$fig09" --benchmark=randacc --scale=-1
 expect_usage_error "$fig09" --benchmark=randacc --scale=inf
 expect_usage_error "$fault_campaign" 1 --fork=maybe
+# An empty path (an unset shell variable) must not silently drop the
+# artifact or the crash safety.
+expect_usage_error "$fig09" --benchmark=randacc --out=
+expect_usage_error "$fig09" --benchmark=randacc --checkpoint=
+expect_usage_error "$merge_results" --out= "$workdir/shard_0.json" \
+    "$workdir/shard_1.json"
 # --journal, --checkpoint-every, --checker-batch and --frontend are not
 # flags: like any unknown flag they exit 2, in every driver.
 expect_usage_error "$fig09" --benchmark=randacc --journal=x
@@ -191,5 +197,5 @@ expect_usage_error "$fault_campaign" 1 --checkpoint-every=4
 expect_usage_error "$fig09" --benchmark=randacc --checker-batch=4
 expect_usage_error "$fig09" --benchmark=randacc --frontend=gshare
 expect_usage_error "$fault_campaign" 1 --checker-batch=4
-echo "OK: unknown and removed flags, a malformed --scale and --fork=maybe" \
-     "exit 2"
+echo "OK: unknown and removed flags, empty --out= and --checkpoint= paths," \
+     "a malformed --scale and --fork=maybe exit 2"

@@ -88,8 +88,12 @@ RuntimeOptions RuntimeOptions::from_args(int argc, char** argv,
       options.shard_index = k;
       options.shard_count = n;
     } else if (std::strncmp(arg, "--out=", 6) == 0) {
+      // An empty path (an unset shell variable) must not quietly mean
+      // "no artifact" or "no crash safety".
+      if (arg[6] == '\0') bad_flag(arg, "a file path");
       options.out_path = arg + 6;
     } else if (std::strncmp(arg, "--checkpoint=", 13) == 0) {
+      if (arg[13] == '\0') bad_flag(arg, "a file path");
       options.checkpoint_path = arg + 13;
     } else if (std::strncmp(arg, "--checker-threads=", 18) == 0) {
       const char* text = arg + 18;

@@ -42,22 +42,10 @@ struct MainCoreConfig {
   bool perfect_memory_disambiguation = true;
 };
 
-/// Which direction-prediction model the front end runs. The tournament
-/// predictor is the paper's Table I configuration; the others are fidelity
-/// ablations (bench_fig_frontend_ablation) in the style of related
-/// architectural-space-exploration simulators.
-enum class FrontEndKind : std::uint8_t {
-  kTournament,   ///< local/global/chooser (default, Table I).
-  kGshare,       ///< one PHT indexed by pc ^ global history.
-  kBimodal,      ///< one PHT indexed by pc alone.
-  kAlwaysTaken,  ///< static predict-taken (BTB/RAS still model targets).
-};
-
 /// Tournament branch predictor parameters (Table I, "Tournament").
 /// Every table size must be a power of two: the hot predict/update path
 /// indexes with masks, never `%` (see valid_table_sizes).
 struct BranchPredictorConfig {
-  FrontEndKind kind = FrontEndKind::kTournament;
   unsigned local_entries = 2048;
   unsigned local_history_bits = 11;
   unsigned global_entries = 8192;
@@ -66,8 +54,9 @@ struct BranchPredictorConfig {
   unsigned ras_entries = 16;
 
   /// True when every table is power-of-two sized (mask indexing is then
-  /// exactly the `%` it replaced). sim::FrontEnd asserts this on
-  /// construction; drivers that accept table sizes should check it first.
+  /// exactly the `%` it replaced). sim::TournamentPredictor asserts this
+  /// on construction; drivers that accept table sizes should check it
+  /// first.
   bool valid_table_sizes() const;
 };
 
@@ -111,26 +100,6 @@ struct CheckerConfig {
   unsigned wakeup_cycles = 4;
   /// Taken-branch bubble in the 4-stage in-order pipeline.
   unsigned taken_branch_bubble = 2;
-  /// Fidelity ablation: when true the checker cores model a small front
-  /// end (sim::FrontEnd with `frontend` parameters) instead of paying the
-  /// fixed bubble on every taken branch — only mispredicted control flow
-  /// then stalls fetch. Default off, which is the paper's model ("the tiny
-  /// cores have no branch predictor") and the byte-identical baseline.
-  bool model_frontend = false;
-  /// Front-end tables for model_frontend (scaled-down by default: the
-  /// checker cores are area-constrained).
-  BranchPredictorConfig frontend = small_frontend();
-
-  static BranchPredictorConfig small_frontend() {
-    BranchPredictorConfig config;
-    config.local_entries = 256;
-    config.local_history_bits = 8;
-    config.global_entries = 512;
-    config.chooser_entries = 256;
-    config.btb_entries = 256;
-    config.ras_entries = 8;
-    return config;
-  }
 };
 
 /// Partitioned load-store log parameters (Table I, "Log Size").

@@ -5,7 +5,8 @@
 namespace paradet::sim {
 
 TournamentPredictor::TournamentPredictor(const BranchPredictorConfig& config)
-    : config_(config),
+    : history_mask_(static_cast<std::uint16_t>(
+          (std::uint16_t{1} << config.local_history_bits) - 1)),
       local_mask_(config.local_entries - 1),
       global_mask_(config.global_entries - 1),
       chooser_mask_(config.chooser_entries - 1),
@@ -23,9 +24,7 @@ TournamentPredictor::TournamentPredictor(const BranchPredictorConfig& config)
 BranchPrediction TournamentPredictor::predict_branch(Addr pc) {
   ++lookups_;
   const std::size_t local_index = (pc >> 2) & local_mask_;
-  const std::uint16_t history =
-      local_history_[local_index] &
-      ((std::uint16_t{1} << config_.local_history_bits) - 1);
+  const std::uint16_t history = local_history_[local_index] & history_mask_;
   const bool local_taken = counter_taken(local_pht_[history]);
   const bool global_taken =
       counter_taken(global_pht_[global_history_ & global_mask_]);
@@ -72,9 +71,7 @@ BranchPrediction TournamentPredictor::predict_indirect(Addr pc,
 void TournamentPredictor::update_branch(Addr pc, bool taken, Addr target,
                                         const BranchPrediction& prediction) {
   const std::size_t local_index = (pc >> 2) & local_mask_;
-  const std::uint16_t history =
-      local_history_[local_index] &
-      ((std::uint16_t{1} << config_.local_history_bits) - 1);
+  const std::uint16_t history = local_history_[local_index] & history_mask_;
   const bool local_taken = counter_taken(local_pht_[history]);
   const bool global_taken =
       counter_taken(global_pht_[global_history_ & global_mask_]);

@@ -1,12 +1,11 @@
 // Tournament branch predictor (Table I: 2048-entry local, 8192-entry
 // global, 2048-entry chooser, 2048-entry BTB, 16-entry RAS), in the style
-// of the Alpha 21264 / gem5 "tournament" predictor.
+// of the Alpha 21264 / gem5 "tournament" predictor. It is the main core's
+// only predictor; the checker cores have none (sim/checker_timing.h).
 //
-// The cores consume this model through sim::FrontEnd (sim/frontend.h),
-// whose default tournament direction component replicates this class state
-// transition for state transition. The monolithic class stays as the
-// executable reference: tests/test_branch_predictor.cc drives both against
-// the same streams and requires identical predictions and counters.
+// Hot-path note: every table is power-of-two sized (asserted from
+// BranchPredictorConfig::valid_table_sizes) and indexed with masks, so the
+// per-branch predict+update pair has no integer division.
 #pragma once
 
 #include <cstdint>
@@ -66,7 +65,7 @@ class TournamentPredictor {
 
   BtbEntry& btb_slot(Addr pc) { return btb_[(pc >> 2) & btb_mask_]; }
 
-  BranchPredictorConfig config_;
+  std::uint16_t history_mask_;
   std::uint64_t local_mask_;
   std::uint64_t global_mask_;
   std::uint64_t chooser_mask_;

@@ -50,7 +50,6 @@ CheckerCoreTiming::CheckerCoreTiming(const CheckerConfig& config,
   l0_mask_ = l0_lines - 1;
   l0_tags_.resize(l0_lines, 0);
   l0_valid_.resize(l0_lines, false);
-  if (config.model_frontend) frontend_.emplace(config.frontend);
 }
 
 bool CheckerCoreTiming::l0_access(Addr line_addr) {
@@ -64,47 +63,6 @@ bool CheckerCoreTiming::l0_access(Addr line_addr) {
   l0_tags_[index] = tag;
   l0_valid_[index] = true;
   return false;
-}
-
-unsigned CheckerCoreTiming::frontend_stall(const InstStatic& inst_static,
-                                           Addr pc, bool taken, Addr next_pc) {
-  // The control micro-op is the last one of its macro-op (cracking keeps
-  // the redirect last); uop_count is tiny, so a linear scan is free.
-  CtrlKind ctrl = CtrlKind::kNone;
-  for (unsigned u = 0; u < inst_static.uop_count; ++u) {
-    if (inst_static.uops[u].ctrl != CtrlKind::kNone) {
-      ctrl = inst_static.uops[u].ctrl;
-    }
-  }
-  FrontEnd& frontend = *frontend_;
-  switch (ctrl) {
-    case CtrlKind::kNone:
-      return 0;
-    case CtrlKind::kCond: {
-      const BranchPrediction prediction = frontend.predict_branch(pc);
-      const bool wrong =
-          prediction.taken != taken || (taken && !prediction.btb_hit);
-      frontend.update_branch(pc, taken, taken ? next_pc : 0, prediction);
-      return wrong ? config_.taken_branch_bubble : 0;
-    }
-    case CtrlKind::kJump:
-    case CtrlKind::kCall: {
-      const BranchPrediction prediction = frontend.predict_jump(pc);
-      frontend.update_jump(pc, next_pc);
-      if (ctrl == CtrlKind::kCall) frontend.push_return(pc + 4);
-      return prediction.btb_hit ? 0 : config_.taken_branch_bubble;
-    }
-    case CtrlKind::kRet:
-    case CtrlKind::kIndirect: {
-      const BranchPrediction prediction =
-          frontend.predict_indirect(pc, ctrl == CtrlKind::kRet);
-      const bool wrong = !prediction.btb_hit || prediction.target != next_pc;
-      if (wrong) frontend.note_target_mispredict();
-      frontend.update_jump(pc, next_pc);
-      return wrong ? config_.taken_branch_bubble : 0;
-    }
-  }
-  return 0;
 }
 
 CheckerCoreTiming::WalkResult CheckerCoreTiming::walk(
@@ -121,8 +79,7 @@ CheckerCoreTiming::WalkResult CheckerCoreTiming::walk(
   Cycle unpipelined_busy = 0;
 
   InstStatic scratch_statics;  ///< fallback for out-of-image PCs only.
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const auto& record = trace[i];
+  for (const auto& record : trace) {
     // Fetch: one L0 lookup per 64-byte line transition is approximated by
     // looking up every instruction (the L0 filters repeats cheaply).
     Cycle fetch_done = std::max(fetch_ready, last_issue);
@@ -182,17 +139,7 @@ CheckerCoreTiming::WalkResult CheckerCoreTiming::walk(
       --entries_left;
     }
 
-    if (frontend_.has_value()) {
-      // Fidelity ablation: only mispredicted control flow stalls fetch.
-      // The fall-through/taken successor is the next traced pc (the trace
-      // is the committed instruction stream, so it *is* the actual
-      // successor; the final record redirects nowhere).
-      const Addr next_pc =
-          i + 1 < trace.size() ? trace[i + 1].pc : record.pc + 4;
-      const unsigned stall = frontend_stall(*inst_static, record.pc,
-                                            record.branch_taken, next_pc);
-      fetch_ready = stall > 0 ? last_issue + 1 + stall : 0;
-    } else if (record.branch_taken) {
+    if (record.branch_taken) {
       fetch_ready = last_issue + 1 + config_.taken_branch_bubble;
     } else {
       fetch_ready = 0;  // sequential fetch keeps up with the scalar core.

@@ -15,13 +15,11 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "common/config.h"
 #include "common/types.h"
 #include "core/checker_engine.h"
-#include "sim/frontend.h"
 #include "sim/uop_info.h"
 
 namespace paradet::sim {
@@ -71,7 +69,6 @@ class CheckerCoreTiming {
         l0_mask_(other.l0_mask_),
         l0_tags_(other.l0_tags_),
         l0_valid_(other.l0_valid_),
-        frontend_(other.frontend_),
         l0_hits_(other.l0_hits_),
         l0_misses_(other.l0_misses_) {}
 
@@ -95,10 +92,6 @@ class CheckerCoreTiming {
 
  private:
   bool l0_access(Addr line_addr);
-  /// Front-end stall (checker cycles) charged after a control record when
-  /// CheckerConfig::model_frontend is on; 0 for correctly predicted flow.
-  unsigned frontend_stall(const InstStatic& inst_static, Addr pc,
-                          bool taken, Addr next_pc);
 
   CheckerConfig config_;
   SharedCheckerIcache& shared_;
@@ -107,9 +100,6 @@ class CheckerCoreTiming {
   std::uint64_t l0_mask_ = 0;
   std::vector<std::uint64_t> l0_tags_;
   std::vector<bool> l0_valid_;
-  /// Present only under CheckerConfig::model_frontend (fidelity ablation);
-  /// the default checker pays the fixed taken-branch bubble instead.
-  std::optional<FrontEnd> frontend_;
   std::uint64_t l0_hits_ = 0;
   std::uint64_t l0_misses_ = 0;
 };

@@ -26,7 +26,7 @@
 #include "common/types.h"
 #include "isa/isa.h"
 #include "mem/cache.h"
-#include "sim/frontend.h"
+#include "sim/branch_predictor.h"
 #include "sim/uop_info.h"
 
 namespace paradet::sim {
@@ -203,10 +203,7 @@ class OoOCore {
   MainCoreConfig config_;
   mem::Cache* l1i_;
   mem::Cache* l1d_;
-  /// Pluggable front end (direction predictor + BTB + RAS); the default
-  /// tournament configuration is byte-identical to the legacy
-  /// TournamentPredictor.
-  FrontEnd predictor_;
+  TournamentPredictor predictor_;
 
   // Front end.
   Cycle fetch_cycle_ = 0;

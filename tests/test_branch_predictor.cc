@@ -1,8 +1,6 @@
-// Tests for the tournament branch predictor, BTB and RAS, and for the
-// pluggable sim::FrontEnd that generalises them: per-variant direction
-// behaviour (gshare / bimodal / always-taken) and the tournament
-// variant's state-for-state equivalence with the legacy
-// TournamentPredictor.
+// Tests for the tournament branch predictor, BTB and RAS: directed
+// behaviour, plus a golden hash of a seeded random stream that pins every
+// prediction and counter.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,7 +8,6 @@
 #include "common/config.h"
 #include "common/hash.h"
 #include "sim/branch_predictor.h"
-#include "sim/frontend.h"
 
 namespace paradet::sim {
 namespace {
@@ -115,6 +112,23 @@ TEST(Tournament, IndirectFallsBackToBtb) {
   EXPECT_EQ(prediction.target, 0x7000u);
 }
 
+TEST(Tournament, RasDepthZeroFallsBackToBtb) {
+  // A depth-0 RAS: pushes are no-ops and returns predict through the BTB
+  // like any other indirect.
+  BranchPredictorConfig cfg = small_config();
+  cfg.ras_entries = 0;
+  TournamentPredictor predictor(cfg);
+  predictor.push_return(0x1111);
+  auto prediction = predictor.predict_indirect(0x9000, /*is_return=*/true);
+  EXPECT_FALSE(prediction.used_ras);
+  EXPECT_FALSE(prediction.btb_hit);
+  predictor.update_jump(0x9000, 0x2222);
+  prediction = predictor.predict_indirect(0x9000, true);
+  EXPECT_FALSE(prediction.used_ras);
+  EXPECT_TRUE(prediction.btb_hit);
+  EXPECT_EQ(prediction.target, 0x2222u);
+}
+
 TEST(Tournament, BtbConflictsReplace) {
   auto cfg = small_config();
   TournamentPredictor predictor(cfg);
@@ -206,174 +220,6 @@ TEST(Tournament, GoldenPredictions) {
   // meant to keep bytes must leave every field and counter identical.
   EXPECT_EQ(prediction_hash(small_config()), 0xE9D82A6DAF705FC4ULL);
   EXPECT_EQ(prediction_hash(BranchPredictorConfig{}), 0xA23A06A0173BDC37ULL);
-}
-
-BranchPredictorConfig variant_config(FrontEndKind kind) {
-  BranchPredictorConfig cfg = small_config();
-  cfg.kind = kind;
-  return cfg;
-}
-
-/// Measures direction accuracy of `frontend` on strict alternation after
-/// a warmup phase at the same pc.
-int alternation_accuracy(FrontEnd& frontend, Addr pc) {
-  bool taken = false;
-  for (int i = 0; i < 200; ++i) {
-    const auto prediction = frontend.predict_branch(pc);
-    frontend.update_branch(pc, taken, 0x3000, prediction);
-    taken = !taken;
-  }
-  int correct = 0;
-  for (int i = 0; i < 40; ++i) {
-    const auto prediction = frontend.predict_branch(pc);
-    if (prediction.taken == taken) ++correct;
-    frontend.update_branch(pc, taken, 0x3000, prediction);
-    taken = !taken;
-  }
-  return correct;
-}
-
-TEST(FrontEndVariants, AlwaysTakenIgnoresOutcomes) {
-  FrontEnd frontend(variant_config(FrontEndKind::kAlwaysTaken));
-  const Addr pc = 0x1000;
-  for (int i = 0; i < 50; ++i) {
-    const auto prediction = frontend.predict_branch(pc);
-    EXPECT_TRUE(prediction.taken);
-    frontend.update_branch(pc, false, 0x2000, prediction);  // never taken.
-  }
-  EXPECT_TRUE(frontend.predict_branch(pc).taken);
-  // Every one of those resolutions was a mispredict.
-  EXPECT_EQ(frontend.direction_mispredicts(), 50u);
-}
-
-TEST(FrontEndVariants, BimodalLearnsBiasButNotHistory) {
-  FrontEnd frontend(variant_config(FrontEndKind::kBimodal));
-  const Addr biased = 0x1000;
-  for (int i = 0; i < 20; ++i) {
-    const auto prediction = frontend.predict_branch(biased);
-    frontend.update_branch(biased, true, 0x2000, prediction);
-  }
-  EXPECT_TRUE(frontend.predict_branch(biased).taken);
-  // A history-free 2-bit counter cannot track strict alternation: it
-  // saturates toward one side and is right at most half the time.
-  EXPECT_LE(alternation_accuracy(frontend, 0x5000), 28);
-}
-
-TEST(FrontEndVariants, GshareLearnsAlternationViaGlobalHistory) {
-  FrontEnd frontend(variant_config(FrontEndKind::kGshare));
-  EXPECT_GE(alternation_accuracy(frontend, 0x5000), 36);
-}
-
-TEST(FrontEndVariants, TargetPathIsSharedAcrossVariants) {
-  // BTB and RAS live in FrontEnd itself, not the direction model: even
-  // always-taken predicts trained targets.
-  FrontEnd frontend(variant_config(FrontEndKind::kAlwaysTaken));
-  frontend.update_jump(0x4000, 0x7777);
-  EXPECT_TRUE(frontend.predict_jump(0x4000).btb_hit);
-  EXPECT_EQ(frontend.predict_jump(0x4000).target, 0x7777u);
-  frontend.push_return(0x1234);
-  const auto prediction = frontend.predict_indirect(0x9000, true);
-  EXPECT_TRUE(prediction.used_ras);
-  EXPECT_EQ(prediction.target, 0x1234u);
-}
-
-TEST(FrontEnd, RasWrapsAtCapacity) {
-  FrontEnd frontend(variant_config(FrontEndKind::kTournament));  // 4-deep.
-  for (Addr a = 1; a <= 6; ++a) frontend.push_return(a * 0x10);
-  for (Addr expect : {0x60u, 0x50u, 0x40u, 0x30u}) {
-    const auto prediction = frontend.predict_indirect(0x9000, true);
-    EXPECT_EQ(prediction.target, expect);
-  }
-}
-
-TEST(FrontEnd, RasDepthZeroFallsBackToBtb) {
-  // The "no RAS" ablation point: pushes are no-ops and returns predict
-  // through the BTB like any other indirect.
-  BranchPredictorConfig cfg = small_config();
-  cfg.ras_entries = 0;
-  FrontEnd frontend(cfg);
-  frontend.push_return(0x1111);
-  auto prediction = frontend.predict_indirect(0x9000, /*is_return=*/true);
-  EXPECT_FALSE(prediction.used_ras);
-  EXPECT_FALSE(prediction.btb_hit);
-  frontend.update_jump(0x9000, 0x2222);
-  prediction = frontend.predict_indirect(0x9000, true);
-  EXPECT_FALSE(prediction.used_ras);
-  EXPECT_TRUE(prediction.btb_hit);
-  EXPECT_EQ(prediction.target, 0x2222u);
-}
-
-TEST(FrontEnd, BtbConflictsReplace) {
-  const auto cfg = small_config();
-  FrontEnd frontend(cfg);
-  const Addr pc1 = 0x1000;
-  const Addr pc2 = pc1 + cfg.btb_entries * 4;  // same BTB slot.
-  frontend.update_jump(pc1, 0xAAAA);
-  frontend.update_jump(pc2, 0xBBBB);
-  EXPECT_FALSE(frontend.predict_jump(pc1).btb_hit);  // evicted by pc2.
-  EXPECT_TRUE(frontend.predict_jump(pc2).btb_hit);
-}
-
-TEST(FrontEnd, TournamentVariantMatchesLegacyPredictorRandomized) {
-  // The headline byte-identity claim at component level: the default
-  // FrontEnd and the legacy TournamentPredictor walked through the same
-  // randomized op stream must agree on every prediction and counter.
-  TournamentPredictor legacy(small_config());
-  FrontEnd frontend(variant_config(FrontEndKind::kTournament));
-  std::uint64_t rng = 0x9E3779B97F4A7C15ull;
-  const auto next = [&rng] {
-    rng = rng * 6364136223846793005ull + 1442695040888963407ull;
-    return rng >> 33;
-  };
-  for (int i = 0; i < 20000; ++i) {
-    const std::uint64_t r = next();
-    const Addr pc = 0x1000 + (r % 977) * 4;  // deliberately aliasing pcs.
-    const Addr target = 0x40000 + (r % 613) * 4;
-    switch (next() % 5) {
-      case 0: {
-        const bool taken = (next() & 1) != 0;
-        const auto a = legacy.predict_branch(pc);
-        const auto b = frontend.predict_branch(pc);
-        ASSERT_EQ(a.taken, b.taken) << "op " << i;
-        ASSERT_EQ(a.btb_hit, b.btb_hit) << "op " << i;
-        ASSERT_EQ(a.target, b.target) << "op " << i;
-        legacy.update_branch(pc, taken, target, a);
-        frontend.update_branch(pc, taken, target, b);
-        break;
-      }
-      case 1: {
-        const auto a = legacy.predict_jump(pc);
-        const auto b = frontend.predict_jump(pc);
-        ASSERT_EQ(a.btb_hit, b.btb_hit) << "op " << i;
-        ASSERT_EQ(a.target, b.target) << "op " << i;
-        legacy.update_jump(pc, target);
-        frontend.update_jump(pc, target);
-        break;
-      }
-      case 2: {
-        const bool is_return = (next() & 1) != 0;
-        const auto a = legacy.predict_indirect(pc, is_return);
-        const auto b = frontend.predict_indirect(pc, is_return);
-        ASSERT_EQ(a.used_ras, b.used_ras) << "op " << i;
-        ASSERT_EQ(a.btb_hit, b.btb_hit) << "op " << i;
-        ASSERT_EQ(a.target, b.target) << "op " << i;
-        legacy.update_jump(pc, target);
-        frontend.update_jump(pc, target);
-        break;
-      }
-      case 3:
-        legacy.push_return(pc + 4);
-        frontend.push_return(pc + 4);
-        break;
-      case 4:
-        legacy.note_target_mispredict();
-        frontend.note_target_mispredict();
-        break;
-    }
-    ASSERT_EQ(legacy.direction_mispredicts(), frontend.direction_mispredicts());
-    ASSERT_EQ(legacy.target_mispredicts(), frontend.target_mispredicts());
-    ASSERT_EQ(legacy.lookups(), frontend.lookups());
-  }
 }
 
 }  // namespace

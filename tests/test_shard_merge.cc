@@ -341,6 +341,12 @@ TEST(RuntimeOptionsFlagsDeathTest, MalformedShardSpecsExit) {
               "invalid argument");
   EXPECT_EXIT(parse_args({"--out"}), testing::ExitedWithCode(2),
               "invalid argument");
+  // An empty path (an unset shell variable) must not silently drop the
+  // artifact or the checkpoint journal.
+  EXPECT_EXIT(parse_args({"--out="}), testing::ExitedWithCode(2),
+              "invalid argument");
+  EXPECT_EXIT(parse_args({"--checkpoint="}), testing::ExitedWithCode(2),
+              "invalid argument");
   // A trailing --jobs with its value forgotten must not silently mean
   // "all cores".
   EXPECT_EXIT(parse_args({"--jobs"}), testing::ExitedWithCode(2),

@@ -39,6 +39,11 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--out=", 6) == 0) {
+      if (arg[6] == '\0') {
+        std::fprintf(stderr, "invalid argument '%s': expected a file path\n",
+                     arg);
+        return usage(argv[0], 2);
+      }
       out_path = arg + 6;
     } else if (std::strcmp(arg, "--help") == 0) {
       return usage(argv[0], 0);
