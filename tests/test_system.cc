@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "arch/interpreter.h"
+#include "common/hash.h"
+#include "runtime/serialize.h"
 #include "sim/checked_system.h"
 #include "workloads/workloads.h"
 
@@ -331,6 +333,35 @@ TEST(CheckedSystem, CountersPopulated) {
   // Every logged entry is a load (LFU-captured), store, or nondet.
   EXPECT_LE(result.counters.get("lfu.captures"),
             result.counters.get("log.entries"));
+}
+
+/// FNV-1a over the canonical JSON of every Table II kernel's RunResult
+/// (Scale 0.05, standard config, suite order) with mem_digest zeroed: the
+/// digest has its own pin (SparseMemoryDigest.GoldenVectors), everything
+/// else a run reports is pinned here.
+std::uint64_t suite_result_hash(SimMode mode) {
+  Fnv1a64 hash;
+  for (const workloads::Workload& workload :
+       workloads::standard_suite(workloads::Scale{0.05})) {
+    SimJob job;
+    job.config = SystemConfig::standard();
+    job.mode = mode;
+    job.max_instructions = 4'000'000;
+    RunResult result = run_job(job, workloads::assemble_or_die(workload));
+    result.mem_digest = 0;
+    hash.mix_bytes(runtime::to_json(result));
+  }
+  return hash.value();
+}
+
+TEST(CheckedSystem, GoldenRunResults) {
+  // Every artifact is built from these results: seal points, checker walk
+  // timing, delay histograms and counters. A change to the commit loop,
+  // the log or replay that is meant to be a pure host-side speed-up must
+  // leave every byte identical; stdout alone does not show most of them.
+  EXPECT_EQ(suite_result_hash(SimMode::kBaseline), 0x8903A4F4A49F5D45ULL);
+  EXPECT_EQ(suite_result_hash(SimMode::kCheckpointOnly), 0x83E38039869751DFULL);
+  EXPECT_EQ(suite_result_hash(SimMode::kChecked), 0xBC784BE5FBEA4E00ULL);
 }
 
 }  // namespace
