@@ -7,7 +7,7 @@
 # holds a record, re-run the same command, and require the resumed
 # artifact to be byte-identical to an uninterrupted run's, with the
 # journal the only checkpoint file.
-# Also checks that merge_results refuses a version-2 artifact by name,
+# Also checks that merge_results refuses a version-3 artifact by name,
 # that a re-run on a finished checkpoint rewrites identical bytes, that a
 # checkpoint path naming a non-journal file fails without touching it,
 # and the usage-error paths (empty --benchmark filter, empty --out= and
@@ -50,29 +50,29 @@ if ! cmp "$workdir/merged.json" "$workdir/whole.json"; then
 fi
 echo "OK: 2-shard fault-campaign merge is byte-identical to the unsharded artifact"
 
-# Version-2 artifacts carry mem_digest values of the old page hash, which
-# no version-3 clean run can match: merging one must fail (exit 1) and
+# Version-3 artifacts carry mem_digest values of the old page hash, which
+# no version-4 clean run can match: merging one must fail (exit 1) and
 # name the file and its version.
-sed '1s/"version":3,/"version":2,/' "$workdir/shard_0.json" \
-    > "$workdir/shard_0_v2.json"
+sed '1s/"version":4,/"version":3,/' "$workdir/shard_0.json" \
+    > "$workdir/shard_0_v3.json"
 code=0
-"$merge_results" --out="$workdir/merged_v2.json" "$workdir/shard_0_v2.json" \
-    "$workdir/shard_1.json" > /dev/null 2> "$workdir/merge_v2.err" || code=$?
+"$merge_results" --out="$workdir/merged_v3.json" "$workdir/shard_0_v3.json" \
+    "$workdir/shard_1.json" > /dev/null 2> "$workdir/merge_v3.err" || code=$?
 if [[ $code -ne 1 ]]; then
-  echo "FAIL: merging a version-2 artifact exited $code, want 1" >&2
+  echo "FAIL: merging a version-3 artifact exited $code, want 1" >&2
   exit 1
 fi
-if ! grep -q "shard_0_v2.json" "$workdir/merge_v2.err" ||
-    ! grep -q "version 2" "$workdir/merge_v2.err"; then
-  echo "FAIL: version-2 refusal does not name the file and version:" >&2
-  cat "$workdir/merge_v2.err" >&2
+if ! grep -q "shard_0_v3.json" "$workdir/merge_v3.err" ||
+    ! grep -q "version 3" "$workdir/merge_v3.err"; then
+  echo "FAIL: version-3 refusal does not name the file and version:" >&2
+  cat "$workdir/merge_v3.err" >&2
   exit 1
 fi
-if [[ -e "$workdir/merged_v2.json" ]]; then
-  echo "FAIL: merging a version-2 artifact wrote an output" >&2
+if [[ -e "$workdir/merged_v3.json" ]]; then
+  echo "FAIL: merging a version-3 artifact wrote an output" >&2
   exit 1
 fi
-echo "OK: merge_results refuses a version-2 artifact, naming it"
+echo "OK: merge_results refuses a version-3 artifact, naming it"
 
 # The fig09 sweep (a SweepCampaign grid of frequency x workload cells)
 # through the same sharded path: 5 points over one kernel at a small scale.

@@ -1,64 +1,10 @@
 #include "arch/memory.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 #include <stdexcept>
 
 namespace paradet::arch {
-
-namespace {
-
-// xxHash64's primes.
-constexpr std::uint64_t kPrime1 = 0x9E3779B185EBCA87ULL;
-constexpr std::uint64_t kPrime2 = 0xC2B2AE3D27D4EB4FULL;
-constexpr std::uint64_t kPrime3 = 0x165667B19E3779F9ULL;
-constexpr std::uint64_t kPrime4 = 0x85EBCA77C2B2AE63ULL;
-
-std::uint64_t hash_round(std::uint64_t acc, std::uint64_t word) {
-  return std::rotl(acc + word * kPrime2, 31) * kPrime1;
-}
-
-/// Little-endian on every host, so digests are host-independent. (A
-/// shift-and-or loop over the bytes is equivalent, but gcc -O2 does not
-/// fuse it into one load, which made the hash 4x slower.)
-std::uint64_t load_le64(const std::uint8_t* bytes) {
-  std::uint64_t word;
-  std::memcpy(&word, bytes, sizeof word);
-  if constexpr (std::endian::native == std::endian::big) {
-    word = __builtin_bswap64(word);
-  }
-  return word;
-}
-
-/// The page hash behind digest(): XXH64 of the page's 4096 bytes, seeded
-/// with the absolute page number. Four independent lanes take words
-/// 0,4,8.. / 1,5,9.. / 2,6,10.. / 3,7,11.., then merge and avalanche.
-/// docs/formats.md specifies it for tools that recompute `mem_digest`.
-std::uint64_t hash_page(std::uint64_t page_no, const std::uint8_t* bytes) {
-  constexpr std::size_t kStripe = 32;  // one word per lane.
-  std::uint64_t lane[4] = {page_no + kPrime1 + kPrime2, page_no + kPrime2,
-                           page_no, page_no - kPrime1};
-  for (std::size_t at = 0; at < SparseMemory::kPageBytes; at += kStripe) {
-    for (int j = 0; j < 4; ++j) {
-      lane[j] = hash_round(lane[j], load_le64(bytes + at + 8 * j));
-    }
-  }
-  std::uint64_t h = std::rotl(lane[0], 1) + std::rotl(lane[1], 7) +
-                    std::rotl(lane[2], 12) + std::rotl(lane[3], 18);
-  for (const std::uint64_t v : lane) {
-    h = (h ^ hash_round(0, v)) * kPrime1 + kPrime4;
-  }
-  h += SparseMemory::kPageBytes;
-  h ^= h >> 33;
-  h *= kPrime2;
-  h ^= h >> 29;
-  h *= kPrime3;
-  h ^= h >> 32;
-  return h;
-}
-
-}  // namespace
 
 void SparseMemory::reserve_flat(Addr base, std::size_t bytes) {
   if (bytes == 0) return;
@@ -95,6 +41,7 @@ void SparseMemory::reserve_flat(Addr base, std::size_t bytes) {
 
 SparseMemory SparseMemory::clone() const {
   SparseMemory copy;
+  copy.digest_ = digest_;
   copy.flat_base_ = flat_base_;
   if (cow_) {
     // Materialise back into a private flat window: backing plus this
@@ -135,6 +82,7 @@ SparseMemory SparseMemory::fork() const {
         "SparseMemory::fork on a const memory requires freeze() first");
   }
   SparseMemory child;
+  child.digest_ = digest_;
   child.flat_base_ = flat_base_;
   child.cow_ = true;
   child.shared_flat_ = shared_flat_;
@@ -147,31 +95,6 @@ std::size_t SparseMemory::cow_dirty_pages() const {
   std::size_t dirty = 0;
   for (const PageRef& ref : flat_overlay_) dirty += ref != nullptr;
   return dirty;
-}
-
-std::uint64_t SparseMemory::digest() const {
-  std::uint64_t acc = 0;
-  const auto mix_page = [&acc](std::uint64_t page_no,
-                               const std::uint8_t* bytes) {
-    static const Page kZeroPage(kPageBytes, 0);
-    if (std::memcmp(bytes, kZeroPage.data(), kPageBytes) == 0) return;
-    acc ^= hash_page(page_no, bytes);
-  };
-  const std::uint64_t window_page0 = flat_base_ >> kPageBits;
-  if (cow_) {
-    for (std::size_t slot = 0; slot < flat_overlay_.size(); ++slot) {
-      const Page* over = flat_overlay_[slot].get();
-      mix_page(window_page0 + slot,
-               over != nullptr ? over->data()
-                               : shared_flat_->data() + (slot << kPageBits));
-    }
-  } else {
-    for (std::size_t slot = 0; slot < (flat_.size() >> kPageBits); ++slot) {
-      mix_page(window_page0 + slot, flat_.data() + (slot << kPageBits));
-    }
-  }
-  for (const auto& [page, ref] : pages_) mix_page(page, ref->data());
-  return acc;
 }
 
 const std::uint8_t* SparseMemory::page_ptr(Addr addr) const {
@@ -288,26 +211,24 @@ std::uint64_t SparseMemory::read_paged_shared(Addr addr, unsigned size) const {
   return value;
 }
 
-void SparseMemory::write_paged(Addr addr, std::uint64_t value, unsigned size) {
-  const std::size_t offset = addr & (kPageBytes - 1);
-  if (offset + size <= kPageBytes) {
-    std::memcpy(page_ptr_mut(addr) + offset, &value, size);
-    return;
-  }
-  const unsigned first = static_cast<unsigned>(kPageBytes - offset);
-  const auto* in = reinterpret_cast<const std::uint8_t*>(&value);
-  std::memcpy(page_ptr_mut(addr) + offset, in, first);
-  std::memcpy(page_ptr_mut(addr + first), in + first, size - first);
+void SparseMemory::write_split(Addr addr, std::uint64_t value,
+                               unsigned size) {
+  const unsigned first = 8 - static_cast<unsigned>(addr & 7);
+  write(addr, value, first);
+  write(addr + first, value >> (8 * first), size - first);
 }
 
 void SparseMemory::write_block(Addr addr, std::span<const std::uint8_t> bytes) {
+  // Word-aligned pieces through write(), so the digest follows every word
+  // the block changes.
   for (std::size_t done = 0; done < bytes.size();) {
-    const std::size_t offset = (addr + done) & (kPageBytes - 1);
-    const std::size_t room = kPageBytes - offset;
-    const std::size_t chunk = std::min(room, bytes.size() - done);
-    std::memcpy(page_ptr_mut(addr + done) + offset, bytes.data() + done,
-                chunk);
-    done += chunk;
+    const Addr at = addr + done;
+    const std::size_t piece =
+        std::min<std::size_t>(8 - (at & 7), bytes.size() - done);
+    std::uint64_t value = 0;
+    std::memcpy(&value, bytes.data() + done, piece);
+    write(at, value, static_cast<unsigned>(piece));
+    done += piece;
   }
 }
 

@@ -26,8 +26,13 @@
 // SparseMemory must not be read concurrently from multiple threads
 // (campaign workers each own their memory, so this costs nothing today).
 // read_shared() is the cache-free exception for frozen snapshots.
+//
+// The content digest is a running value: every write stores whole aligned
+// 8-byte words and moves the digest by each word's change, so digest() is
+// O(1) at any memory size and in every representation.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -38,6 +43,11 @@
 #include "common/types.h"
 
 namespace paradet::arch {
+
+// Words are stored in host byte order and sub-word reads memcpy the low
+// bytes; both are little-endian layouts.
+static_assert(std::endian::native == std::endian::little,
+              "SparseMemory assumes a little-endian host");
 
 class SparseMemory {
  public:
@@ -134,30 +144,24 @@ class SparseMemory {
   /// True once freeze() (or fork()) has converted this memory to CoW mode.
   bool is_cow() const { return cow_; }
 
-  /// Order-independent digest of the full touched contents: each non-zero
-  /// 4 KiB page hashes (absolute page number, 4096 bytes) with a
-  /// word-at-a-time four-lane hash (XXH64 seeded with the page number;
-  /// docs/formats.md specifies it) and the per-page hashes XOR-combine.
-  /// All-zero pages are skipped, so the value is independent of
-  /// representation — flat window vs sparse pages vs CoW backing+overlay
-  /// all digest identically, and two memories holding the same bytes
-  /// always agree.
-  std::uint64_t digest() const;
+  /// Order-independent digest of the full contents: the XOR over every
+  /// 8-aligned address `a` holding the little-endian word `w` of
+  /// m(w ^ k(a)) ^ m(k(a)), where k(a) = a * 0x9E3779B97F4A7C15 (mod 2^64)
+  /// and m is the SplitMix64 finalizer (docs/formats.md). Zero words add
+  /// nothing, so the value is independent of representation — flat window
+  /// vs sparse pages vs CoW backing+overlay all digest identically, and two
+  /// memories holding the same bytes always agree. Kept up to date by every
+  /// write, so reading it costs nothing.
+  std::uint64_t digest() const { return digest_; }
 
   /// Writes the low `size` bytes of `value` little-endian.
   void write(Addr addr, std::uint64_t value, unsigned size) {
-    const Addr offset = addr - flat_base_;
-    if (offset < flat_.size() && offset + size <= flat_.size()) {
-      std::memcpy(flat_.data() + offset, &value, size);
+    const unsigned in_word = static_cast<unsigned>(addr & 7);
+    if (in_word + size > 8) {
+      write_split(addr, value, size);
       return;
     }
-    if (cow_) {
-      if (std::uint8_t* at = cow_window_write_ptr(offset, size)) {
-        std::memcpy(at, &value, size);
-        return;
-      }
-    }
-    write_paged(addr, value, size);
+    store_in_word(word_ptr_mut(addr), addr & ~Addr{7}, value, size, in_word);
   }
 
   void write_block(Addr addr, std::span<const std::uint8_t> bytes);
@@ -213,9 +217,48 @@ class SparseMemory {
     return over->data() + in_page;
   }
 
+  /// The aligned word holding `addr`, writable: the flat window and
+  /// private CoW pages inline, otherwise page_ptr_mut (which creates a
+  /// sparse page or copies a shared one).
+  std::uint8_t* word_ptr_mut(Addr addr) {
+    const Addr offset = (addr - flat_base_) & ~Addr{7};
+    if (offset < flat_.size()) return flat_.data() + offset;
+    if (cow_) {
+      if (std::uint8_t* at = cow_window_write_ptr(offset, 8)) return at;
+    }
+    return page_ptr_mut(addr) + (addr & (kPageBytes - 8));
+  }
+
+  /// SplitMix64's finalizer: a bijection on 64-bit words.
+  static std::uint64_t digest_mix(std::uint64_t z) {
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+  }
+
+  /// Writes `size` bytes at byte `in_word` of the aligned word at
+  /// `word_addr` (backed by `word`) and moves the digest by the word's
+  /// change: m(old ^ k) ^ m(new ^ k), the m(k) halves cancelling.
+  void store_in_word(std::uint8_t* word, Addr word_addr, std::uint64_t value,
+                     unsigned size, unsigned in_word) {
+    std::uint64_t old = 0;
+    std::memcpy(&old, word, sizeof old);
+    const unsigned shift = 8 * in_word;
+    const std::uint64_t low =
+        size >= 8 ? ~std::uint64_t{0} : (std::uint64_t{1} << (8 * size)) - 1;
+    const std::uint64_t mask = low << shift;
+    const std::uint64_t now = (old & ~mask) | ((value << shift) & mask);
+    std::memcpy(word, &now, sizeof now);
+    const std::uint64_t key = word_addr * 0x9E3779B97F4A7C15ULL;
+    digest_ ^= digest_mix(old ^ key) ^ digest_mix(now ^ key);
+  }
+
+  /// A write that spans two aligned words (and perhaps two pages): one
+  /// in-word store each.
+  void write_split(Addr addr, std::uint64_t value, unsigned size);
+
   std::uint64_t read_paged(Addr addr, unsigned size) const;
   std::uint64_t read_paged_shared(Addr addr, unsigned size) const;
-  void write_paged(Addr addr, std::uint64_t value, unsigned size);
 
   /// Backing bytes of the page containing `addr` (flat window included),
   /// or nullptr when untouched. Cached per page: repeated same-page
@@ -238,6 +281,7 @@ class SparseMemory {
     }
   }
 
+  std::uint64_t digest_ = 0;  ///< running value of digest().
   Addr flat_base_ = 0;
   std::vector<std::uint8_t> flat_;
   std::unordered_map<std::uint64_t, PageRef> pages_;

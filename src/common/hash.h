@@ -2,9 +2,10 @@
 // checksums (runtime/serialize) and driver-configuration fingerprints
 // (bench_util) both travel through the same artifact and checkpoint
 // files, so they must keep hashing identically — one implementation, not
-// per-user copies. Memory pages have their own word-at-a-time hash
-// (SparseMemory::digest in arch/memory.cc): byte-serial FNV is too slow
-// for megabytes.
+// per-user copies. Final memory has its own digest, a running XOR of
+// per-word terms that SparseMemory updates on every write
+// (SparseMemory::digest in arch/memory.h): hashing megabytes byte by byte
+// at the end of every run is too slow.
 #pragma once
 
 #include <cstdint>

@@ -151,14 +151,15 @@ void CheckerEngine::check_into(const Segment& segment,
       return;
     }
 
-    CheckerInstRecord record;
+    // Built in place: a stack temporary copied in by push_back is reloaded
+    // with wide loads that cannot forward from its narrow field stores.
+    CheckerInstRecord& record = result.trace.emplace_back();
     record.inst = *inst;
     record.pc = pc;
     record.branch_taken = step.branch_taken;
     record.entries_consumed =
         static_cast<std::uint8_t>(port.consumed_by_current());
     record.first_entry = entry_before;
-    result.trace.push_back(record);
 
     if (step.trap != arch::Trap::kNone) {
       // A real trap (halt/fault/misaligned/…). It is only correct if the

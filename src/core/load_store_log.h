@@ -79,21 +79,23 @@ struct Segment {
 
 class LoadStoreLog {
  public:
+  /// Throws std::invalid_argument, naming the field, for a geometry the
+  /// log cannot hold: no segments, zero-byte entries, or a segment with
+  /// fewer entries than one macro-op's memory micro-ops (§IV-D's boundary
+  /// rule could then never admit it).
   explicit LoadStoreLog(const LogConfig& config)
-      : config_(config), segments_(config.segments) {
-    assert(config.segments >= 1);
+      : config_(config),
+        entries_per_segment_(checked_entries_per_segment(config)),
+        segments_(config.segments) {
     for (auto& segment : segments_) {
-      segment.entries.reserve(
-          static_cast<std::size_t>(config.entries_per_segment()));
+      segment.entries.reserve(static_cast<std::size_t>(entries_per_segment_));
     }
   }
 
   unsigned num_segments() const {
     return static_cast<unsigned>(segments_.size());
   }
-  std::uint64_t entries_per_segment() const {
-    return config_.entries_per_segment();
-  }
+  std::uint64_t entries_per_segment() const { return entries_per_segment_; }
   const LogConfig& config() const { return config_; }
 
   // --- Filling (main-core commit side) ---------------------------------
@@ -133,7 +135,7 @@ class LoadStoreLog {
 
   std::uint64_t free_entries_in_filling() const {
     assert(has_filling());
-    return entries_per_segment() -
+    return entries_per_segment_ -
            segments_[static_cast<unsigned>(filling_)].entries.size();
   }
 
@@ -147,7 +149,7 @@ class LoadStoreLog {
   void append(const LogEntry& entry) {
     Segment& segment = filling();
     assert(segment.entries.size() <
-           static_cast<std::size_t>(entries_per_segment()));
+           static_cast<std::size_t>(entries_per_segment_));
     segment.entries.push_back(entry);
     ++entries_appended_;
   }
@@ -200,7 +202,12 @@ class LoadStoreLog {
   }
 
  private:
+  static std::uint64_t checked_entries_per_segment(const LogConfig& config);
+
   LogConfig config_;
+  /// config_.entries_per_segment(), computed once: the commit loop asks
+  /// for it at least once per instruction.
+  std::uint64_t entries_per_segment_;
   std::vector<Segment> segments_;
   int filling_ = -1;   ///< index of the filling segment, -1 if none.
   unsigned next_ = 0;  ///< round-robin cursor.

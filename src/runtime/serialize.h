@@ -31,11 +31,12 @@ namespace paradet::runtime {
 inline constexpr const char* kArtifactFormatName = "paradet-campaign";
 /// Version 2: RunResult gained "mem_digest" (final-memory digest, used by
 /// silent-corruption classification). Version 3: "mem_digest" comes from a
-/// new page hash (docs/formats.md), so old and new values never compare.
-/// Older artifacts are rejected loudly: a version-1 digest would read back
-/// as zero and a version-2 one would match no clean run of this build, and
-/// either would silently misclassify.
-inline constexpr std::uint64_t kArtifactFormatVersion = 3;
+/// new page hash. Version 4: "mem_digest" is a running XOR of per-word
+/// terms (docs/formats.md), so old and new values never compare. Older
+/// artifacts are rejected loudly: a version-1 digest would read back as
+/// zero and a version-2 or version-3 one would match no clean run of this
+/// build, and either would silently misclassify.
+inline constexpr std::uint64_t kArtifactFormatVersion = 4;
 
 // --- Canonical JSON writers ------------------------------------------------
 
@@ -90,7 +91,7 @@ CampaignArtifact read_artifact_file(const std::string& path);
 inline constexpr const char* kJournalFormatName = "paradet-campaign-journal";
 /// Bumped in lockstep with kArtifactFormatVersion: journal records embed
 /// the same RunResult encoding, "mem_digest" included.
-inline constexpr std::uint64_t kJournalFormatVersion = 3;
+inline constexpr std::uint64_t kJournalFormatVersion = 4;
 
 /// Identity of the campaign slice a journal belongs to. Stored in the
 /// journal's header line and validated on replay.

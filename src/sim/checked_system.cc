@@ -74,9 +74,7 @@ class MainPort final : public arch::DataPort {
         arch_value ^= std::uint64_t{1} << (f->bit & 63);
       }
     }
-    captured_.push_back(Captured{EntryKind::kLoad, addr, arch_value,
-                                 lfu_value, 0,
-                                 static_cast<std::uint8_t>(size)});
+    capture(EntryKind::kLoad, addr, arch_value, lfu_value, 0, size);
     return arch_value;
   }
 
@@ -97,20 +95,32 @@ class MainPort final : public arch::DataPort {
     const std::uint64_t old_value =
         record_old_values_ ? memory_.read(addr, size) : 0;
     memory_.write(addr, value, size);
-    captured_.push_back(Captured{EntryKind::kStore, addr, value, value,
-                                 old_value,
-                                 static_cast<std::uint8_t>(size)});
+    capture(EntryKind::kStore, addr, value, value, old_value, size);
   }
 
   std::uint64_t read_cycle() override {
-    captured_.push_back(Captured{EntryKind::kNondet, 0, rdcycle_value_,
-                                 rdcycle_value_, 0, 0});
+    capture(EntryKind::kNondet, 0, rdcycle_value_, rdcycle_value_, 0, 0);
     return rdcycle_value_;
   }
 
   const std::vector<Captured>& captured() const { return captured_; }
 
  private:
+  /// Builds the record in place: a stack temporary copied in by push_back
+  /// is reloaded with wide loads that cannot forward from its narrow field
+  /// stores.
+  void capture(EntryKind kind, Addr addr, std::uint64_t arch_value,
+               std::uint64_t lfu_value, std::uint64_t old_value,
+               unsigned size) {
+    Captured& record = captured_.emplace_back();
+    record.kind = kind;
+    record.addr = addr;
+    record.arch_value = arch_value;
+    record.lfu_value = lfu_value;
+    record.old_value = old_value;
+    record.size = static_cast<std::uint8_t>(size);
+  }
+
   arch::SparseMemory& memory_;
   std::vector<Captured> captured_;
   UopSeq uop_seq_base_ = 0;
@@ -193,7 +203,6 @@ class SystemRunner {
       // executes; taking it freezes the working memory (copy-on-write).
       pipeline_.emplace(config_, program.memory, predecoded_, statics_,
                         checker_, undo_log_);
-      assert(config_.checker.num_cores == config_.log.segments);
     }
     last_checkpoint_ = checkpoint_unit_.take(state_, 0, 0);
     if (faults_ != nullptr) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "sim/warm_state.h"
 
@@ -15,6 +17,18 @@ std::size_t resolve_max_batch(unsigned segments) {
   return std::max<std::size_t>(1, segments / 2);
 }
 
+/// Segments map one-to-one onto checker cores (§IV-D): the absorb walk
+/// indexes the checker cores by segment index.
+const SystemConfig& checked_core_count(const SystemConfig& config) {
+  if (config.checker.num_cores != config.log.segments) {
+    throw std::invalid_argument(
+        "checker.num_cores (" + std::to_string(config.checker.num_cores) +
+        ") must equal log.segments (" + std::to_string(config.log.segments) +
+        "): each log segment has its own checker core");
+  }
+  return config;
+}
+
 }  // namespace
 
 SegmentPipeline::SegmentPipeline(const SystemConfig& config,
@@ -23,7 +37,7 @@ SegmentPipeline::SegmentPipeline(const SystemConfig& config,
                                  const ProgramStatics* statics,
                                  CheckerExec checker,
                                  core::UndoLog* undo_log)
-    : config_(config),
+    : config_(checked_core_count(config)),
       statics_(statics),
       undo_log_(undo_log),
       checker_(checker),
@@ -53,7 +67,7 @@ SegmentPipeline::SegmentPipeline(const SystemConfig& config,
                                  const ProgramStatics* statics,
                                  CheckerExec checker,
                                  core::UndoLog* undo_log)
-    : config_(config),
+    : config_(checked_core_count(config)),
       statics_(statics),
       undo_log_(undo_log),
       checker_(checker),

@@ -87,6 +87,8 @@ class SegmentPipeline {
   /// @param undo_log may be null; when given, validated segments' undo
   ///   records are discarded (on the producer thread) and the recovery
   ///   checkpoint is tracked on failure.
+  /// Both constructors throw std::invalid_argument unless
+  /// config.checker.num_cores equals config.log.segments.
   SegmentPipeline(const SystemConfig& config,
                   arch::SparseMemory& program_memory,
                   const isa::PredecodedImage* predecoded,

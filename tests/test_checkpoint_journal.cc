@@ -389,13 +389,13 @@ TEST(CheckpointJournal, NonJournalFileIsRefusedAndLeftUntouched) {
   }
 }
 
-TEST(CheckpointJournal, Version2JournalIsRefusedAndLeftUntouched) {
-  // A version-2 journal holds digests of the old page hash. Resuming it
-  // would compare them with this build's clean digest and call every
-  // masked strike silent corruption, so resume refuses it — naming the
-  // file and the version — and leaves its bytes alone.
+/// Rewrites a fresh journal's header to `version`, adds one record, and
+/// expects resume to refuse it — naming the file and the version — and to
+/// leave its bytes alone.
+void expect_old_journal_refused(std::uint64_t version) {
   const Campaign campaign(kTasks, kSeed);
-  const std::string ckpt = fresh_path("journal_v2.json");
+  const std::string ckpt =
+      fresh_path("journal_v" + std::to_string(version) + ".json");
   { JournalWriter writer(ckpt, header_for(campaign)); }
   const std::string header_line = read_file(ckpt);
   const std::string current =
@@ -404,22 +404,38 @@ TEST(CheckpointJournal, Version2JournalIsRefusedAndLeftUntouched) {
   std::string payload = header_line.substr(17, header_line.size() - 18);
   const std::size_t at = payload.find(current);
   ASSERT_NE(at, std::string::npos) << payload;
-  payload.replace(at, current.size(), "\"version\":2,");
-  const std::string v2 = json::checksum_line(payload) +
-                         journal_record_line(0, synthetic_result(1));
-  write_file(ckpt, v2);
+  payload.replace(at, current.size(),
+                  "\"version\":" + std::to_string(version) + ",");
+  const std::string old = json::checksum_line(payload) +
+                          journal_record_line(0, synthetic_result(1));
+  write_file(ckpt, old);
   CampaignRunOptions options;
   options.checkpoint_path = ckpt;
   try {
     campaign.run_sharded(ParallelRunner(1), options, synthetic_task);
-    ADD_FAILURE() << "resumed from a version-2 journal";
+    ADD_FAILURE() << "resumed from a version-" << version << " journal";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find(ckpt), std::string::npos) << what;
-    EXPECT_NE(what.find("version 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("version " + std::to_string(version)),
+              std::string::npos)
+        << what;
   }
-  EXPECT_EQ(read_file(ckpt), v2);
+  EXPECT_EQ(read_file(ckpt), old);
   std::remove(ckpt.c_str());
+}
+
+TEST(CheckpointJournal, Version2JournalIsRefusedAndLeftUntouched) {
+  // A version-2 journal holds digests of the byte-serial page hash.
+  // Resuming it would compare them with this build's clean digest and call
+  // every masked strike silent corruption.
+  expect_old_journal_refused(2);
+}
+
+TEST(CheckpointJournal, Version3JournalIsRefusedAndLeftUntouched) {
+  // Version 3's digests are XXH64 page hashes, which no running per-word
+  // digest of this build matches.
+  expect_old_journal_refused(3);
 }
 
 TEST(CheckpointJournal, ShardedCrashResumeStillMergesByteIdentically) {

@@ -4,6 +4,9 @@
 // the paper's headline invariants.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "arch/interpreter.h"
 #include "common/hash.h"
 #include "runtime/serialize.h"
@@ -333,6 +336,79 @@ TEST(CheckedSystem, CountersPopulated) {
   // Every logged entry is a load (LFU-captured), store, or nondet.
   EXPECT_LE(result.counters.get("lfu.captures"),
             result.counters.get("log.entries"));
+}
+
+/// 100 iterations of one LDP and one STP: 400 log entries, two per
+/// macro-op.
+constexpr const char* kPairLoop = R"(
+_start:
+  li   t0, 100
+  la   t1, data
+  li   t2, 0
+loop:
+  ldp  a0, 0(t1)
+  stp  a0, 16(t1)
+  addi t2, t2, 1
+  bne  t2, t0, loop
+  halt
+.org 0x200000
+data:
+)";
+
+/// What run_job throws as std::invalid_argument for `config` on the pair
+/// loop; a test failure (and "") when it runs instead.
+std::string rejection(const SystemConfig& config) {
+  const auto assembled = isa::assemble(kPairLoop);
+  EXPECT_TRUE(assembled.ok);
+  try {
+    run_job(checked_job(config, 50000), assembled);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "run_job accepted the geometry";
+  return "";
+}
+
+TEST(CheckedSystem, CheckerCoresMustMatchSegments) {
+  // Each segment is checked by its own core: with 4 cores for 12 segments
+  // the checker walk indexed past its cores (a heap overflow in release).
+  SystemConfig config = SystemConfig::standard();
+  config.checker.num_cores = 4;
+  EXPECT_NE(rejection(config).find("checker.num_cores"), std::string::npos);
+}
+
+TEST(CheckedSystem, ZeroSegmentsAreRejected) {
+  SystemConfig config = SystemConfig::standard();
+  config.log.segments = 0;
+  EXPECT_NE(rejection(config).find("log.segments"), std::string::npos);
+}
+
+TEST(CheckedSystem, ZeroEntrySegmentsAreRejected) {
+  SystemConfig config = SystemConfig::standard();
+  config.log.total_bytes = config.log.segments * config.log.entry_bytes - 1;
+  EXPECT_NE(rejection(config).find("log.total_bytes"), std::string::npos);
+  config = SystemConfig::standard();
+  config.log.entry_bytes = 0;
+  EXPECT_NE(rejection(config).find("log.entry_bytes"), std::string::npos);
+}
+
+TEST(CheckedSystem, SegmentsMustHoldOneMacroOp) {
+  // With one entry per segment no LDP or STP fits any segment: the free
+  // count wrapped and the run passed with its entries crammed into a few
+  // segments. Two entries is the smallest geometry: each pair op then
+  // fills a segment of its own, and the drain seals one more.
+  SystemConfig config = SystemConfig::standard();
+  config.log.total_bytes = config.log.segments * 1 * config.log.entry_bytes;
+  EXPECT_NE(rejection(config).find("log.total_bytes"), std::string::npos);
+
+  config.log.total_bytes = config.log.segments * 2 * config.log.entry_bytes;
+  const auto assembled = isa::assemble(kPairLoop);
+  ASSERT_TRUE(assembled.ok);
+  const RunResult result = run_job(checked_job(config, 50000), assembled);
+  EXPECT_FALSE(result.error_detected);
+  EXPECT_EQ(result.exit_trap, arch::Trap::kHalt);
+  EXPECT_EQ(result.counters.get("log.entries"), 400u);
+  EXPECT_EQ(result.segments, 201u);
 }
 
 /// FNV-1a over the canonical JSON of every Table II kernel's RunResult
