@@ -59,11 +59,11 @@ inline bool driver_flag(const char* arg,
 struct Options {
   double scale = 1.0;          ///< workload scale factor (--scale=X).
   std::string only;            ///< run a single benchmark (--benchmark=name).
-  RuntimeOptions runtime;      ///< --jobs/--shard/--out/--checkpoint flags.
+  RuntimeOptions runtime;      ///< --jobs/--shard/--out flags.
 
   /// `campaign` = true for drivers that execute through
-  /// Campaign::run_sharded; others reject --shard/--out/--checkpoint
-  /// (exit 2) rather than silently running unsharded. `driver_flags` are
+  /// Campaign::run_sharded; others reject --shard/--out (exit 2) rather
+  /// than silently running unsharded. `driver_flags` are
   /// the flags a driver parses itself, spelled as --help shows them
   /// (e.g. --fork=on|off): --help lists them, and any argument that is
   /// neither one of them (matched up to its '=') nor a shared flag exits
@@ -83,7 +83,6 @@ struct Options {
                     " [--checker-threads=N]%s",
                     argv[0],
                     campaign ? "\n          [--shard=K/N] [--out=artifact.json]"
-                               " [--checkpoint=ckpt.json]"
                              : "");
         if (driver_flags.size() != 0) std::printf("\n         ");
         for (const char* flag : driver_flags) std::printf(" [%s]", flag);
@@ -115,9 +114,9 @@ struct Options {
   }
 
   /// Hash (FNV-1a, common/hash.h) of the options that give campaign task
-  /// indices their meaning. Stored in artifacts so a checkpoint or shard
-  /// file produced at a different --scale / --benchmark — same task
-  /// count, different simulations — cannot silently resume or merge.
+  /// indices their meaning. Stored in artifacts so a shard file produced
+  /// at a different --scale / --benchmark — same task count, different
+  /// simulations — cannot silently merge.
   std::uint64_t config_fingerprint() const {
     Fnv1a64 hash;
     hash.mix_u64(std::bit_cast<std::uint64_t>(scale));
@@ -127,8 +126,7 @@ struct Options {
   }
 
   /// Campaign execution options from the shared CLI flags (shard slice,
-  /// artifact output, checkpoint path), fingerprinted with this driver
-  /// configuration.
+  /// artifact output), fingerprinted with this driver configuration.
   runtime::CampaignRunOptions campaign_options() const {
     auto options = runtime::CampaignRunOptions::from_runtime(runtime);
     options.fingerprint = config_fingerprint();
@@ -136,9 +134,9 @@ struct Options {
   }
 };
 
-/// Runs a driver body, converting escaping exceptions (a checkpoint file
-/// from a different campaign, an unwritable --out path, ...) into a clean
-/// stderr message and exit 1 instead of std::terminate.
+/// Runs a driver body, converting escaping exceptions (an unwritable --out
+/// path, ...) into a clean stderr message and exit 1 instead of
+/// std::terminate.
 inline int cli_main(int (*body)(int, char**), int argc, char** argv) {
   try {
     return body(argc, argv);

@@ -8,9 +8,8 @@
 // "cheapest configuration meeting a 2 us mean-delay, 2% slowdown budget".
 // The sweep runs as one runtime::SweepCampaign (one workload, one cell
 // per design point), so it fans out on the worker pool (`--jobs=N`),
-// shards across processes (`--shard=K/N --out=artifact.json`, merged
-// back with merge_results) and checkpoints/restarts
-// (`--checkpoint=ckpt.json`) exactly like the figure reproductions.
+// and shards across processes (`--shard=K/N --out=artifact.json`, merged
+// back with merge_results) exactly like the figure reproductions.
 #include <cstdio>
 #include <cstring>
 #include <exception>
@@ -40,8 +39,7 @@ int run(int argc, char** argv) {
       ++i;  // skip the flag's value; RuntimeOptions consumes it.
     } else if (std::strcmp(argv[i], "--help") == 0) {
       std::printf("usage: %s [--jobs=N] [--checker-threads=N]\n"
-                  "          [--shard=K/N] [--out=artifact.json]"
-                  " [--checkpoint=ckpt.json]\n",
+                  "          [--shard=K/N] [--out=artifact.json]\n",
                   argv[0]);
       return 0;
     } else if (!runtime_flag(argv[i])) {
@@ -186,8 +184,8 @@ int main(int argc, char** argv) {
   try {
     return run(argc, argv);
   } catch (const std::exception& e) {
-    // A checkpoint from another campaign or an unwritable --out path
-    // should end as a readable error, not std::terminate.
+    // An unwritable --out path should end as a readable error, not
+    // std::terminate.
     std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
     return 1;
   }

@@ -21,9 +21,7 @@
 //     numbers `--jobs=1` does, just faster;
 //   * cross-process sharding — `--shard=K/N --out=shard_K.json` runs one
 //     slice of the campaign per machine, and `merge_results` folds the
-//     artifacts back into the byte-identical single-machine output;
-//   * checkpoint/restart — `--checkpoint=ckpt.json` resumes an
-//     interrupted campaign without re-running finished strikes.
+//     artifacts back into the byte-identical single-machine output.
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
@@ -60,8 +58,7 @@ int run(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--help") == 0) {
       std::printf("usage: %s [trials-per-site] [--jobs=N]"
                   " [--checker-threads=N] [--fork=on|off]\n"
-                  "          [--shard=K/N] [--out=artifact.json]"
-                  " [--checkpoint=ckpt.json]\n",
+                  "          [--shard=K/N] [--out=artifact.json]\n",
                   argv[0]);
       return 0;
     } else if (argv[i][0] == '-') {
@@ -240,8 +237,8 @@ int main(int argc, char** argv) {
   try {
     return run(argc, argv);
   } catch (const std::exception& e) {
-    // A checkpoint from another campaign or an unwritable --out path
-    // should end as a readable error, not std::terminate.
+    // An unwritable --out path should end as a readable error, not
+    // std::terminate.
     std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
     return 1;
   }

@@ -2,20 +2,14 @@
 # End-to-end smoke test for cross-process campaign sharding: run the fault
 # campaign example and the fig09 sweep reproduction as two shard processes
 # each, merge their artifacts with merge_results, and require the merged
-# file to be byte-identical to the file an unsharded run writes. Then a
-# crash-resume drill: SIGKILL a checkpointed fig09 run once its journal
-# holds a record, re-run the same command, and require the resumed
-# artifact to be byte-identical to an uninterrupted run's, with the
-# journal the only checkpoint file.
+# file to be byte-identical to the file an unsharded run writes.
 # Also checks that merge_results refuses a version-3 artifact by name,
-# that a re-run on a finished checkpoint rewrites identical bytes, that a
-# checkpoint path naming a non-journal file fails without touching it,
-# and the usage-error paths (empty --benchmark filter, empty --out= and
-# --checkpoint= paths, unknown and removed flags — --journal,
+# and the usage-error paths (empty --benchmark filter, an empty --out=
+# path, unknown and removed flags — --checkpoint, --journal,
 # --checkpoint-every, --checker-batch, --frontend — and malformed --scale
 # and --fork values). Exercises the real CLI surface (flag parsing,
-# artifact I/O, the merge tool, a killed process) rather than the library
-# entry points the unit tests already cover.
+# artifact I/O, the merge tool) rather than the library entry points the
+# unit tests already cover.
 set -euo pipefail
 
 if [[ $# -ne 3 ]]; then
@@ -92,70 +86,6 @@ if ! cmp "$workdir/fig09_merged.json" "$workdir/fig09_whole.json"; then
 fi
 echo "OK: 2-shard fig09 sweep merge is byte-identical to the unsharded artifact"
 
-# Crash resume: SIGKILL a checkpointed run once its journal holds one
-# record (line 1 is the header), then re-run the same command. The resumed
-# run simulates only the unfinished tasks and must write the bytes an
-# uninterrupted run writes, leaving the journal as the only checkpoint
-# file.
-drill_flags=(--scale=0.05 --jobs=1)
-tasks=45  # 5 checker frequencies x 9 kernels.
-"$fig09" "${drill_flags[@]}" --out="$workdir/drill_whole.json" > /dev/null
-mkdir "$workdir/drill"
-journal="$workdir/drill/fig09.ckpt.json"
-"$fig09" "${drill_flags[@]}" --checkpoint="$journal" > /dev/null &
-pid=$!
-while kill -0 "$pid" 2> /dev/null; do
-  if [[ -f "$journal" && $(wc -l < "$journal") -ge 2 ]]; then break; fi
-  sleep 0.01
-done
-kill -KILL "$pid" 2> /dev/null || true
-wait "$pid" 2> /dev/null || true
-records=$(($(wc -l < "$journal") - 1))
-if [[ $records -lt 1 || $records -gt $((tasks - 1)) ]]; then
-  echo "FAIL: the kill left $records of $tasks records, want 1..$((tasks - 1))" >&2
-  exit 1
-fi
-"$fig09" "${drill_flags[@]}" --checkpoint="$journal" \
-    --out="$workdir/drill_resumed.json" > /dev/null
-if ! cmp "$workdir/drill_resumed.json" "$workdir/drill_whole.json"; then
-  echo "FAIL: the resumed artifact differs from an uninterrupted run's" >&2
-  exit 1
-fi
-found=("$workdir/drill"/*)
-if [[ "${found[*]}" != "$journal" ]]; then
-  echo "FAIL: the killed run left checkpoint files: ${found[*]}" >&2
-  exit 1
-fi
-echo "OK: a run killed after $records of $tasks records resumes to the" \
-     "byte-identical artifact, with one checkpoint file"
-
-# A finished checkpoint re-runs nothing and rewrites the identical --out.
-"$fig09" "${fig09_flags[@]}" --checkpoint="$workdir/fig09.ckpt.json" \
-    > /dev/null
-"$fig09" "${fig09_flags[@]}" --checkpoint="$workdir/fig09.ckpt.json" \
-    --out="$workdir/fig09_rerun.json" > /dev/null
-if ! cmp "$workdir/fig09_rerun.json" "$workdir/fig09_whole.json"; then
-  echo "FAIL: re-run on a finished checkpoint wrote different bytes" >&2
-  exit 1
-fi
-echo "OK: re-running on a finished checkpoint rewrites the identical artifact"
-
-# A checkpoint path naming a file that is not a journal (here the run's
-# own --out artifact) fails with exit 1 and leaves the file untouched.
-cp "$workdir/fig09_whole.json" "$workdir/fig09_pristine.json"
-code=0
-"$fig09" "${fig09_flags[@]}" --checkpoint="$workdir/fig09_whole.json" \
-    --out="$workdir/fig09_whole.json" > /dev/null 2>&1 || code=$?
-if [[ $code -ne 1 ]]; then
-  echo "FAIL: --checkpoint naming an artifact exited $code, want 1" >&2
-  exit 1
-fi
-if ! cmp "$workdir/fig09_whole.json" "$workdir/fig09_pristine.json"; then
-  echo "FAIL: --checkpoint naming an artifact modified it" >&2
-  exit 1
-fi
-echo "OK: a non-journal checkpoint file is refused and left untouched"
-
 # An over-narrow filter must be a loud error (exit 1 + diagnostic), not an
 # empty table with exit 0.
 if "$fig09" --benchmark=no_such_kernel > /dev/null 2> "$workdir/empty.err"; then
@@ -184,18 +114,20 @@ expect_usage_error "$fig09" --benchmark=randacc --scale=-1
 expect_usage_error "$fig09" --benchmark=randacc --scale=inf
 expect_usage_error "$fault_campaign" 1 --fork=maybe
 # An empty path (an unset shell variable) must not silently drop the
-# artifact or the crash safety.
+# artifact.
 expect_usage_error "$fig09" --benchmark=randacc --out=
-expect_usage_error "$fig09" --benchmark=randacc --checkpoint=
 expect_usage_error "$merge_results" --out= "$workdir/shard_0.json" \
     "$workdir/shard_1.json"
-# --journal, --checkpoint-every, --checker-batch and --frontend are not
-# flags: like any unknown flag they exit 2, in every driver.
+# --checkpoint, --journal, --checkpoint-every, --checker-batch and
+# --frontend are not flags: like any unknown flag they exit 2, in every
+# driver.
+expect_usage_error "$fig09" --benchmark=randacc --checkpoint=ck.json
+expect_usage_error "$fault_campaign" 1 --checkpoint=ck.json
 expect_usage_error "$fig09" --benchmark=randacc --journal=x
 expect_usage_error "$fig09" --benchmark=randacc --checkpoint-every=4
 expect_usage_error "$fault_campaign" 1 --checkpoint-every=4
 expect_usage_error "$fig09" --benchmark=randacc --checker-batch=4
 expect_usage_error "$fig09" --benchmark=randacc --frontend=gshare
 expect_usage_error "$fault_campaign" 1 --checker-batch=4
-echo "OK: unknown and removed flags, empty --out= and --checkpoint= paths," \
-     "a malformed --scale and --fork=maybe exit 2"
+echo "OK: unknown and removed flags, an empty --out= path, a malformed" \
+     "--scale and --fork=maybe exit 2"

@@ -59,8 +59,7 @@ RuntimeOptions RuntimeOptions::from_args(int argc, char** argv,
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (!campaign_flags && (std::strncmp(arg, "--shard", 7) == 0 ||
-                            std::strncmp(arg, "--out", 5) == 0 ||
-                            std::strncmp(arg, "--checkpoint", 12) == 0)) {
+                            std::strncmp(arg, "--out", 5) == 0)) {
       std::fprintf(stderr,
                    "'%s' is not supported by this driver (it does not run as "
                    "a shardable campaign)\n",
@@ -89,12 +88,9 @@ RuntimeOptions RuntimeOptions::from_args(int argc, char** argv,
       options.shard_count = n;
     } else if (std::strncmp(arg, "--out=", 6) == 0) {
       // An empty path (an unset shell variable) must not quietly mean
-      // "no artifact" or "no crash safety".
+      // "no artifact".
       if (arg[6] == '\0') bad_flag(arg, "a file path");
       options.out_path = arg + 6;
-    } else if (std::strncmp(arg, "--checkpoint=", 13) == 0) {
-      if (arg[13] == '\0') bad_flag(arg, "a file path");
-      options.checkpoint_path = arg + 13;
     } else if (std::strncmp(arg, "--checker-threads=", 18) == 0) {
       const char* text = arg + 18;
       char* end = nullptr;
@@ -106,7 +102,6 @@ RuntimeOptions RuntimeOptions::from_args(int argc, char** argv,
       options.checker_threads = static_cast<unsigned>(value);
     } else if (std::strcmp(arg, "--shard") == 0 ||
                std::strcmp(arg, "--out") == 0 ||
-               std::strcmp(arg, "--checkpoint") == 0 ||
                std::strcmp(arg, "--checker-threads") == 0) {
       // Only the '=' forms exist; swallowing e.g. `--shard 0/2` would let
       // the next driver's positional parsing misread "0/2".
@@ -117,8 +112,8 @@ RuntimeOptions RuntimeOptions::from_args(int argc, char** argv,
 }
 
 bool runtime_flag(const char* arg) {
-  for (const char* prefix : {"--jobs=", "--checker-threads=", "--shard=",
-                             "--out=", "--checkpoint="}) {
+  for (const char* prefix :
+       {"--jobs=", "--checker-threads=", "--shard=", "--out="}) {
     if (std::strncmp(arg, prefix, std::strlen(prefix)) == 0) return true;
   }
   return std::strncmp(arg, "-j", 2) == 0;  // -jN

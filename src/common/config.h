@@ -187,15 +187,9 @@ struct RuntimeOptions {
   /// aggregate, versioned JSON) for tools/merge_results.
   std::string out_path;
 
-  /// `--checkpoint=PATH`: persist every completed run as an O(record)
-  /// append to the checkpoint journal at PATH, so an interrupted campaign
-  /// restarted with the same flag resumes without re-running finished
-  /// tasks. A file at PATH that is not that journal is refused (exit 1).
-  std::string checkpoint_path;
-
   /// Scans argv for `--jobs=N` / `--jobs N` / `-jN` / `-j N`,
   /// `--checker-threads=N`, and — when `campaign_flags` is true —
-  /// `--shard=K/N`, `--out=PATH` and `--checkpoint=PATH`.
+  /// `--shard=K/N` and `--out=PATH`.
   /// Drivers that do not execute through Campaign::run_sharded must leave
   /// `campaign_flags` false: the campaign flags then exit with status 2
   /// instead of being silently swallowed (a sharding run that quietly

@@ -1,7 +1,5 @@
 #include "runtime/campaign.h"
 
-#include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <utility>
 
@@ -45,7 +43,6 @@ CampaignRunOptions CampaignRunOptions::from_runtime(
   CampaignRunOptions options;
   options.shard = ShardSpec{runtime.shard_index, runtime.shard_count};
   options.out_path = runtime.out_path;
-  options.checkpoint_path = runtime.checkpoint_path;
   return options;
 }
 
@@ -64,47 +61,9 @@ CampaignArtifact Campaign::run_sharded(const ParallelRunner& runner,
   }
 
   std::vector<sim::RunResult> results(owned.size());
-  std::vector<char> done(owned.size(), 0);
-
-  // Resume: the checkpoint journal's records pre-fill this shard's
-  // completed slots, and later completions append to the same file. A
-  // checkpoint for a different campaign or slice, or a file that is not a
-  // journal at all, is an operator error, never silently absorbed or
-  // overwritten — load_checkpoint_state validates and throws.
-  std::unique_ptr<JournalWriter> journal;
-  if (!options.checkpoint_path.empty()) {
-    const JournalHeader header{seed_, tasks_, options.fingerprint, shard};
-    CampaignArtifact checkpoint;
-    load_checkpoint_state(options.checkpoint_path, header, &checkpoint);
-    for (TaskRecord& record : checkpoint.runs) {
-      const std::size_t slot =
-          static_cast<std::size_t>((record.index - shard.index) / shard.count);
-      results[slot] = std::move(record.result);
-      done[slot] = 1;
-    }
-    journal = std::make_unique<JournalWriter>(options.checkpoint_path, header);
-  }
-
-  std::vector<std::size_t> pending;
-  for (std::size_t slot = 0; slot < owned.size(); ++slot) {
-    if (!done[slot]) pending.push_back(slot);
-  }
-
-  // Each completion is one O(record) journal append; nothing is ever
-  // rewritten, so total checkpoint cost over an n-task shard is n appends.
-  std::mutex journal_mutex;
-  runner.for_each(pending.size(), [&](std::size_t p) {
-    const std::size_t slot = pending[p];
+  runner.for_each(owned.size(), [&](std::size_t slot) {
     results[slot] = task(static_cast<std::size_t>(owned[slot]),
                          task_seed(static_cast<std::size_t>(owned[slot])));
-    if (journal == nullptr) return;
-    // Frame the record outside the mutex — the JSON encode of a big
-    // RunResult is the expensive part of an append, and this worker owns
-    // results[slot].
-    const std::string line =
-        journal_record_line(owned[slot], results[slot]);
-    const std::lock_guard<std::mutex> lock(journal_mutex);
-    journal->append_line(line);
   });
 
   CampaignArtifact artifact;

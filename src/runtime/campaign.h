@@ -21,11 +21,7 @@
 // therefore per-task results) identical to the unsharded campaign's, and
 // run_sharded() can persist its runs as a versioned JSON artifact
 // (runtime/serialize.h) that tools/merge_results folds back — in task
-// order — into the bit-identical single-machine aggregate. A checkpoint
-// is one append-only journal file (serialize.h) taking one O(record)
-// append per completed task: an interrupted campaign restarted with the
-// same --checkpoint path resumes without re-running finished tasks and
-// still produces byte-identical final output.
+// order — into the bit-identical single-machine aggregate.
 #pragma once
 
 #include <cstdint>
@@ -91,8 +87,8 @@ struct CampaignArtifact {
   /// Caller-supplied hash of the driver configuration that gives task
   /// indices their meaning (workload scale, suite filter, budget, ...).
   /// (seed, tasks) alone cannot tell two differently-configured runs of
-  /// the same driver apart; resuming or merging across configurations
-  /// would silently mix incompatible results.
+  /// the same driver apart; merging across configurations would silently
+  /// mix incompatible results.
   std::uint64_t fingerprint = 0;
   ShardSpec shard;
   std::vector<TaskRecord> runs;
@@ -103,24 +99,16 @@ struct CampaignArtifact {
 struct CampaignRunOptions {
   ShardSpec shard;
 
-  /// Configuration fingerprint stored in artifacts and validated against
-  /// checkpoints (see CampaignArtifact::fingerprint). Leave 0 only when
-  /// the driver's configuration is fully determined by (seed, tasks).
+  /// Configuration fingerprint stored in artifacts and validated when
+  /// merging (see CampaignArtifact::fingerprint). Leave 0 only when the
+  /// driver's configuration is fully determined by (seed, tasks).
   std::uint64_t fingerprint = 0;
 
   /// Write the completed artifact here (for tools/merge_results).
   std::string out_path;
 
-  /// Checkpoint path: the append-only journal of completed runs (one
-  /// checksummed record per completion, O(record) each). Loaded (if
-  /// present) before running to skip finished tasks; a finished
-  /// checkpoint re-runs nothing. A file here that is not this slice's
-  /// journal — an artifact, say — makes run_sharded throw and is left
-  /// untouched.
-  std::string checkpoint_path;
-
-  /// Lifts the host-side CLI flags (--shard/--out/--checkpoint/...) into
-  /// execution options.
+  /// Lifts the host-side CLI flags (--shard/--out) into execution
+  /// options.
   static CampaignRunOptions from_runtime(const RuntimeOptions& runtime);
 };
 
@@ -140,8 +128,7 @@ class Campaign {
   }
 
   /// Executes task(index, task_seed(index)) for every index this shard
-  /// owns, resuming from / writing the checkpoint and artifact files named
-  /// in `options`. `task` must be safe to invoke concurrently from
+  /// owns, writing the artifact file named in `options`. `task` must be safe to invoke concurrently from
   /// multiple threads (each call owns its simulator). The returned
   /// artifact holds every owned run, and its aggregate is absorbed in
   /// task-index order after the pool joins, so it is bit-identical at

@@ -8,8 +8,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "common/hash.h"
-
 namespace paradet::runtime::json {
 
 // --- Writers ---------------------------------------------------------------
@@ -365,40 +363,6 @@ class Parser {
 
 Json parse(std::string_view text) { return Parser(text).parse_document(); }
 
-// --- Checksummed line framing ----------------------------------------------
-
-std::string checksum_line(std::string_view payload) {
-  static const char* kHex = "0123456789abcdef";
-  const std::uint64_t sum = fnv1a64(payload);
-  std::string line;
-  line.reserve(payload.size() + 18);
-  for (int shift = 60; shift >= 0; shift -= 4) {
-    line += kHex[(sum >> shift) & 0xF];
-  }
-  line += ' ';
-  line += payload;
-  line += '\n';
-  return line;
-}
-
-bool parse_checksum_prefix(std::string_view line, std::uint64_t* sum) {
-  if (line.size() < 17 || line[16] != ' ') return false;
-  std::uint64_t value = 0;
-  for (int i = 0; i < 16; ++i) {
-    const char h = line[static_cast<std::size_t>(i)];
-    value <<= 4;
-    if (h >= '0' && h <= '9') {
-      value |= static_cast<std::uint64_t>(h - '0');
-    } else if (h >= 'a' && h <= 'f') {
-      value |= static_cast<std::uint64_t>(h - 'a' + 10);
-    } else {
-      return false;
-    }
-  }
-  *sum = value;
-  return true;
-}
-
 // --- File helpers -----------------------------------------------------------
 
 std::string read_whole_file(const std::string& path) {
@@ -419,16 +383,6 @@ std::string read_whole_file(const std::string& path) {
     throw std::runtime_error("error reading '" + path + "'");
   }
   return text;
-}
-
-bool exists_or_throw(const std::string& path) {
-  if (std::FILE* f = std::fopen(path.c_str(), "rb")) {
-    std::fclose(f);
-    return true;
-  }
-  if (errno == ENOENT) return false;
-  throw std::runtime_error("cannot open '" + path +
-                           "': " + std::strerror(errno));
 }
 
 }  // namespace paradet::runtime::json

@@ -1,15 +1,10 @@
-// Canonical-JSON building blocks shared by every paradet persistence
-// surface: campaign artifacts and checkpoint journals (serialize.cc).
+// Canonical-JSON building blocks for campaign artifacts (serialize.cc).
 //
 // "Canonical" means byte-deterministic: fixed key order is the caller's
 // job, but number formatting (shortest round-trip decimals via to_chars),
 // string escaping and the ±inf/nan sentinels are fixed here, so that
 // serialize∘deserialize is the identity down to the last bit and
 // equivalence checks can be `cmp`, not tolerances.
-//
-// The checksummed line framing (16 lowercase-hex chars of FNV-1a 64 over
-// the payload, a space, the payload) lives here too: the checkpoint
-// journal appends one such line per completed task.
 #pragma once
 
 #include <cstdint>
@@ -58,26 +53,10 @@ struct Json {
 /// recursing the stack away. Throws std::runtime_error on any defect.
 Json parse(std::string_view text);
 
-// --- Checksummed line framing ----------------------------------------------
-
-/// One framed line: 16 lowercase-hex checksum chars, a space, the
-/// payload, a newline. The FNV-1a-64 checksum covers exactly the payload
-/// bytes. This is the checkpoint-journal line format.
-std::string checksum_line(std::string_view payload);
-
-/// Parses the hex checksum prefix of a framed line; returns false on any
-/// framing defect (short line, missing separator, non-hex digit).
-bool parse_checksum_prefix(std::string_view line, std::uint64_t* sum);
-
 // --- File helpers -----------------------------------------------------------
 
 /// Whole-file read; throws std::runtime_error when the file cannot be
 /// opened or read.
 std::string read_whole_file(const std::string& path);
-
-/// True when `path` is openable; false only on ENOENT. Any other failure
-/// (permissions, fd exhaustion) throws: silently treating an existing
-/// file as absent would let a caller clobber state it should resume.
-bool exists_or_throw(const std::string& path);
 
 }  // namespace paradet::runtime::json

@@ -6,19 +6,17 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <limits>
 #include <stdexcept>
 #include <utility>
 
-#include "common/hash.h"
 #include "runtime/canonical_json.h"
 
 namespace paradet::runtime {
 namespace {
 
-// The canonical-JSON writers, document model and checksummed line framing
-// live in runtime/canonical_json.{h,cc}.
+// The canonical-JSON writers and document model live in
+// runtime/canonical_json.{h,cc}.
 using json::append_double;
 using json::append_i64;
 using json::append_string;
@@ -407,59 +405,6 @@ void write_file_atomically(const std::string& path, const std::string& text) {
   }
 }
 
-// --- Journal helpers -------------------------------------------------------
-
-std::string journal_header_payload(const JournalHeader& header) {
-  std::string out;
-  out += "{\"format\":\"";
-  out += kJournalFormatName;
-  out += "\",\"version\":";
-  append_u64(out, kJournalFormatVersion);
-  out += ",\"seed\":";
-  append_u64(out, header.seed);
-  out += ",\"tasks\":";
-  append_u64(out, header.tasks);
-  out += ",\"fingerprint\":";
-  append_u64(out, header.fingerprint);
-  out += ",\"shard\":{\"index\":";
-  append_u64(out, header.shard.index);
-  out += ",\"count\":";
-  append_u64(out, header.shard.count);
-  out += "}}";
-  return out;
-}
-
-void read_journal_header(const Json& j, const std::string& path,
-                         const JournalHeader& expected) {
-  const Json* format =
-      j.kind == Json::Kind::kObject ? j.find("format") : nullptr;
-  if (format == nullptr || format->kind != Json::Kind::kString ||
-      format->text != kJournalFormatName) {
-    throw std::runtime_error(
-        path + ": not a paradet checkpoint journal (missing or wrong "
-               "\"format\")");
-  }
-  const std::uint64_t version = j.at("version").as_u64();
-  if (version != kJournalFormatVersion) {
-    throw std::runtime_error(
-        path + ": unsupported checkpoint journal version " +
-        std::to_string(version) + " (this build reads version " +
-        std::to_string(kJournalFormatVersion) + ")");
-  }
-  JournalHeader header;
-  header.seed = j.at("seed").as_u64();
-  header.tasks = j.at("tasks").as_u64();
-  header.fingerprint = j.at("fingerprint").as_u64();
-  const Json& shard = j.at("shard");
-  header.shard.index = shard.at("index").as_u64();
-  header.shard.count = shard.at("count").as_u64();
-  if (!(header == expected)) {
-    throw std::runtime_error(
-        path + ": journal belongs to a different campaign, configuration or "
-               "shard (seed/tasks/fingerprint/shard mismatch)");
-  }
-}
-
 }  // namespace
 
 // --- Public writers --------------------------------------------------------
@@ -569,150 +514,6 @@ CampaignArtifact read_artifact_file(const std::string& path) {
   } catch (const std::exception& e) {
     throw std::runtime_error(path + ": " + e.what());
   }
-}
-
-// --- Append-only checkpoint journal ----------------------------------------
-
-std::string journal_record_line(std::uint64_t index,
-                                const sim::RunResult& result) {
-  std::string payload;
-  payload += "{\"index\":";
-  append_u64(payload, index);
-  payload += ",\"result\":";
-  append_run_result(payload, result);
-  payload += '}';
-  return json::checksum_line(payload);
-}
-
-JournalReplay replay_journal_file(const std::string& path,
-                                  const JournalHeader& expected) {
-  JournalReplay replay;
-  if (!json::exists_or_throw(path)) return replay;
-  replay.found = true;
-  const std::string text = read_whole_file(path);
-
-  // The header is created atomically, so a first line that is missing,
-  // unterminated or checksum-bad was never written by a JournalWriter:
-  // refuse the file rather than truncate someone else's data as a torn
-  // tail.
-  const std::size_t header_end = text.find('\n');
-  const std::string_view header_line =
-      std::string_view(text).substr(0, header_end);
-  std::uint64_t sum = 0;
-  if (header_end == std::string::npos ||
-      !json::parse_checksum_prefix(header_line, &sum) ||
-      sum != fnv1a64(header_line.substr(17))) {
-    throw std::runtime_error(
-        path + ": not a paradet checkpoint journal (its first line is not a "
-               "journal header); refusing to resume from or overwrite it");
-  }
-  read_journal_header(parse(header_line.substr(17)), path, expected);
-
-  std::size_t pos = header_end + 1;
-  std::size_t line_no = 1;
-  while (pos < text.size()) {
-    const std::size_t nl = text.find('\n', pos);
-    if (nl == std::string::npos) break;  // torn tail: no terminator.
-    const std::string_view line(text.data() + pos, nl - pos);
-    if (!json::parse_checksum_prefix(line, &sum) ||
-        sum != fnv1a64(line.substr(17))) {
-      // A torn append is always the final bytes of the file; a bad line
-      // with intact lines after it is real corruption.
-      if (nl + 1 == text.size()) break;
-      throw std::runtime_error(path + ": corrupt journal record at line " +
-                               std::to_string(line_no + 1));
-    }
-    try {
-      const Json j = parse(line.substr(17));
-      TaskRecord record;
-      record.index = j.at("index").as_u64();
-      record.result = read_run_result(j.at("result"));
-      replay.records.push_back(std::move(record));
-    } catch (const std::runtime_error&) {
-      throw std::runtime_error(path +
-                               ": journal record " + std::to_string(line_no) +
-                               " has a valid checksum but malformed payload");
-    }
-    pos = nl + 1;
-    ++line_no;
-  }
-
-  if (pos < text.size()) {
-    replay.dropped_bytes = text.size() - pos;
-    std::error_code ec;
-    std::filesystem::resize_file(path, pos, ec);
-    if (ec) {
-      throw std::runtime_error("cannot truncate torn journal tail of '" +
-                               path + "': " + ec.message());
-    }
-  }
-  return replay;
-}
-
-JournalWriter::JournalWriter(std::string path, const JournalHeader& header)
-    : path_(std::move(path)) {
-  if (!json::exists_or_throw(path_)) {
-    write_file_atomically(path_,
-                          json::checksum_line(journal_header_payload(header)));
-  }
-  file_ = std::fopen(path_.c_str(), "ab");
-  if (file_ == nullptr) {
-    throw std::runtime_error("cannot open journal '" + path_ +
-                             "' for appending: " + std::strerror(errno));
-  }
-}
-
-JournalWriter::~JournalWriter() { std::fclose(file_); }
-
-void JournalWriter::append(const TaskRecord& record) {
-  append_line(journal_record_line(record.index, record.result));
-}
-
-void JournalWriter::append_line(const std::string& line) {
-  const std::size_t n = std::fwrite(line.data(), 1, line.size(), file_);
-  if (n != line.size() || std::fflush(file_) != 0) {
-    throw std::runtime_error("cannot append to journal '" + path_ +
-                             "': " + std::strerror(errno));
-  }
-}
-
-bool load_checkpoint_state(const std::string& checkpoint_path,
-                           const JournalHeader& expected,
-                           CampaignArtifact* state) {
-  state->seed = expected.seed;
-  state->tasks = expected.tasks;
-  state->fingerprint = expected.fingerprint;
-  state->shard = expected.shard;
-  state->runs.clear();
-  state->aggregate = CampaignAggregate{};
-
-  JournalReplay replay = replay_journal_file(checkpoint_path, expected);
-  std::vector<char> present(expected.tasks, 0);
-  for (TaskRecord& record : replay.records) {
-    if (record.index >= expected.tasks ||
-        !expected.shard.owns(record.index)) {
-      throw std::runtime_error(checkpoint_path +
-                               ": journal record for task " +
-                               std::to_string(record.index) +
-                               " is outside this campaign slice");
-    }
-    // Every completion is appended exactly once, so a repeat is damage.
-    if (present[record.index]) {
-      throw std::runtime_error(checkpoint_path + ": task " +
-                               std::to_string(record.index) +
-                               " is recorded twice");
-    }
-    present[record.index] = 1;
-    state->runs.push_back(std::move(record));
-  }
-  std::sort(state->runs.begin(), state->runs.end(),
-            [](const TaskRecord& a, const TaskRecord& b) {
-              return a.index < b.index;
-            });
-  for (const TaskRecord& record : state->runs) {
-    state->aggregate.absorb(record.result);
-  }
-  return replay.found;
 }
 
 // --- Merging ---------------------------------------------------------------

@@ -1,14 +1,10 @@
 // The distributed-campaign equivalence suite: a 64-run fault campaign
 // split into 1, 3 and 8 shards — each shard executed at --jobs 1 and 8 —
 // merges back (through the same library path tools/merge_results.cpp
-// drives) into an artifact byte-identical to the unsharded run's; a
-// checkpoint taken mid-campaign, with all in-memory state dropped,
-// resumes to byte-identical final output without re-running finished
-// tasks. Also covers the --shard/--out/--checkpoint CLI parsing these
-// flows hang off.
+// drives) into an artifact byte-identical to the unsharded run's. Also
+// covers the --shard/--out CLI parsing these flows hang off.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -125,83 +121,13 @@ TEST(ShardMerge, ShardArtifactFilesSurviveTheDiskTrip) {
   EXPECT_EQ(to_json(merge_artifacts(std::move(shards))), reference_json());
 }
 
-TEST(ShardMerge, CheckpointResumeIsByteIdenticalToUninterrupted) {
-  const std::string path = testing::TempDir() + "/paradet_checkpoint.json";
-  std::remove(path.c_str());
-
-  const Campaign campaign(kTasks, kSeed);
-  const ParallelRunner serial(1);
-  CampaignRunOptions options;
-  options.checkpoint_path = path;
-
-  // Phase 1: the campaign dies after 20 completed tasks.
-  constexpr unsigned kCrashAfter = 20;
-  std::atomic<unsigned> launched{0};
-  EXPECT_THROW(
-      campaign.run_sharded(serial, options,
-                           [&](std::size_t i, std::uint64_t seed) {
-                             if (launched.fetch_add(1) >= kCrashAfter) {
-                               throw std::runtime_error("injected crash");
-                             }
-                             return fault_task(i, seed);
-                           }),
-      std::runtime_error);
-
-  // The checkpoint on disk holds the whole partial campaign: every
-  // completion was appended to the journal as it finished, so the resume
-  // state covers all 20 with the partial aggregate re-absorbed.
-  CampaignArtifact checkpoint;
-  ASSERT_TRUE(load_checkpoint_state(
-      path, JournalHeader{kSeed, kTasks, 0, ShardSpec{}}, &checkpoint));
-  EXPECT_EQ(checkpoint.runs.size(), kCrashAfter);
-  EXPECT_EQ(checkpoint.aggregate.runs, kCrashAfter);
-  EXPECT_EQ(checkpoint.seed, kSeed);
-
-  // Phase 2: all in-memory state is gone (fresh run_sharded call); the
-  // resumed campaign must only run the remaining tasks...
-  std::atomic<unsigned> resumed{0};
-  const CampaignArtifact artifact = campaign.run_sharded(
-      serial, options, [&](std::size_t i, std::uint64_t seed) {
-        ++resumed;
-        return fault_task(i, seed);
-      });
-  EXPECT_EQ(resumed.load(), kTasks - kCrashAfter);
-
-  // ...and still produce the uninterrupted campaign's bytes.
-  EXPECT_EQ(to_json(artifact), reference_json());
-
-  // A third run resumes from the completed checkpoint: nothing re-runs.
-  std::atomic<unsigned> rerun{0};
-  const CampaignArtifact again = campaign.run_sharded(
-      serial, options, [&](std::size_t i, std::uint64_t seed) {
-        ++rerun;
-        return fault_task(i, seed);
-      });
-  EXPECT_EQ(rerun.load(), 0u);
-  EXPECT_EQ(to_json(again), reference_json());
-  std::remove(path.c_str());
-}
-
-TEST(ShardMerge, FingerprintMismatchRejectsCheckpointAndMerge) {
+TEST(ShardMerge, FingerprintMismatchRejectsMerge) {
   // Same seed and task count, different driver configuration (e.g. another
   // --scale): the fingerprint is the only thing telling them apart.
-  const std::string path =
-      testing::TempDir() + "/paradet_fingerprint_ckpt.json";
-  std::remove(path.c_str());
   const auto trivial = [](std::size_t, std::uint64_t) {
     return sim::RunResult{};
   };
   const Campaign campaign(8, kSeed);
-  CampaignRunOptions options;
-  options.fingerprint = 0xAAA;
-  options.checkpoint_path = path;
-  campaign.run_sharded(ParallelRunner(2), options, trivial);
-
-  options.fingerprint = 0xBBB;
-  EXPECT_THROW(campaign.run_sharded(ParallelRunner(2), options, trivial),
-               std::runtime_error);
-  std::remove(path.c_str());
-
   CampaignRunOptions left, right;
   left.shard = ShardSpec{0, 2};
   left.fingerprint = 0xAAA;
@@ -212,23 +138,6 @@ TEST(ShardMerge, FingerprintMismatchRejectsCheckpointAndMerge) {
                        campaign.run_sharded(ParallelRunner(2), right,
                                             trivial)}),
       std::runtime_error);
-}
-
-TEST(ShardMerge, ForeignCheckpointIsRejected) {
-  const std::string path = testing::TempDir() + "/paradet_foreign_ckpt.json";
-  std::remove(path.c_str());
-
-  // Leave a valid checkpoint for a *different* campaign (other seed).
-  const Campaign other(kTasks, kSeed + 1);
-  CampaignRunOptions options;
-  options.checkpoint_path = path;
-  other.run_sharded(ParallelRunner(8), options,
-                    [](std::size_t, std::uint64_t) { return sim::RunResult{}; });
-
-  const Campaign campaign(kTasks, kSeed);
-  EXPECT_THROW(campaign.run_sharded(ParallelRunner(1), options, fault_task),
-               std::runtime_error);
-  std::remove(path.c_str());
 }
 
 TEST(ShardMerge, MergeRejectsInconsistentShards) {
@@ -287,15 +196,14 @@ RuntimeOptions parse_args(std::vector<std::string> args,
                                    argv.data(), campaign_flags);
 }
 
-TEST(RuntimeOptionsFlags, ParsesShardOutAndCheckpoint) {
-  const RuntimeOptions options =
-      parse_args({"--jobs=4", "--shard=2/5", "--out=s2.json",
-                  "--checkpoint=ckpt.json", "positional", "--unrelated=x"});
+TEST(RuntimeOptionsFlags, ParsesShardAndOut) {
+  const RuntimeOptions options = parse_args(
+      {"--jobs=4", "--shard=2/5", "--out=s2.json", "positional",
+       "--unrelated=x"});
   EXPECT_EQ(options.jobs, 4u);
   EXPECT_EQ(options.shard_index, 2u);
   EXPECT_EQ(options.shard_count, 5u);
   EXPECT_EQ(options.out_path, "s2.json");
-  EXPECT_EQ(options.checkpoint_path, "ckpt.json");
 }
 
 TEST(RuntimeOptionsFlags, RuntimeFlagClaimsOnlyTheParsedForms) {
@@ -306,9 +214,7 @@ TEST(RuntimeOptionsFlags, RuntimeFlagClaimsOnlyTheParsedForms) {
   EXPECT_TRUE(runtime_flag("--checker-threads=4"));
   EXPECT_TRUE(runtime_flag("--shard=0/2"));
   EXPECT_TRUE(runtime_flag("--out=a.json"));
-  EXPECT_TRUE(runtime_flag("--checkpoint=ck.json"));
-  EXPECT_FALSE(runtime_flag("--checkpoint"));
-  EXPECT_FALSE(runtime_flag("--checkpoints=ck.json"));
+  EXPECT_FALSE(runtime_flag("--checkpoint=ck.json"));
   EXPECT_FALSE(runtime_flag("--bogus=1"));
 }
 
@@ -317,7 +223,6 @@ TEST(RuntimeOptionsFlags, DefaultsToTheWholeCampaign) {
   EXPECT_EQ(options.shard_index, 0u);
   EXPECT_EQ(options.shard_count, 1u);
   EXPECT_TRUE(options.out_path.empty());
-  EXPECT_TRUE(options.checkpoint_path.empty());
   const ShardSpec shard{options.shard_index, options.shard_count};
   EXPECT_TRUE(shard.whole());
 }
@@ -342,10 +247,8 @@ TEST(RuntimeOptionsFlagsDeathTest, MalformedShardSpecsExit) {
   EXPECT_EXIT(parse_args({"--out"}), testing::ExitedWithCode(2),
               "invalid argument");
   // An empty path (an unset shell variable) must not silently drop the
-  // artifact or the checkpoint journal.
+  // artifact.
   EXPECT_EXIT(parse_args({"--out="}), testing::ExitedWithCode(2),
-              "invalid argument");
-  EXPECT_EXIT(parse_args({"--checkpoint="}), testing::ExitedWithCode(2),
               "invalid argument");
   // A trailing --jobs with its value forgotten must not silently mean
   // "all cores".
@@ -362,8 +265,6 @@ TEST(RuntimeOptionsFlagsDeathTest, NonCampaignDriversRejectCampaignFlags) {
   EXPECT_EXIT(parse_args({"--shard=0/2"}, /*campaign_flags=*/false),
               testing::ExitedWithCode(2), "not supported by this driver");
   EXPECT_EXIT(parse_args({"--out=x.json"}, /*campaign_flags=*/false),
-              testing::ExitedWithCode(2), "not supported by this driver");
-  EXPECT_EXIT(parse_args({"--checkpoint=ck.json"}, /*campaign_flags=*/false),
               testing::ExitedWithCode(2), "not supported by this driver");
   // --jobs stays available everywhere.
   EXPECT_EQ(parse_args({"--jobs=3"}, /*campaign_flags=*/false).jobs, 3u);

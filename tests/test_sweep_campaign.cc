@@ -4,7 +4,6 @@
 // workloads each shard touches; flat sweeps index cells explicitly.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <mutex>
@@ -173,34 +172,6 @@ TEST(SweepCampaign, InvalidShardSpecIsRejected) {
   EXPECT_THROW(
       make_sweep().run(ParallelRunner(1), options, freq_cell),
       std::invalid_argument);
-}
-
-TEST(SweepCampaign, CheckpointResumeMatchesUninterruptedBytes) {
-  // A sweep interrupted mid-campaign resumes from its checkpoint into the
-  // reference bytes — the sweep layer inherits Campaign's whole story.
-  const std::string path = testing::TempDir() + "/paradet_sweep_ckpt.json";
-  std::remove(path.c_str());
-  CampaignRunOptions options;
-  options.checkpoint_path = path;
-  options.out_path = testing::TempDir() + "/paradet_sweep_resumed.json";
-
-  const SweepCampaign sweep = make_sweep();
-  std::atomic<unsigned> launched{0};
-  EXPECT_THROW(
-      sweep.run(ParallelRunner(1), options,
-                [&](std::size_t p, std::size_t w, const AssemblyCache::Image& image,
-                    std::uint64_t seed) {
-                  if (launched.fetch_add(1) >= 4) {
-                    throw std::runtime_error("injected crash");
-                  }
-                  return freq_cell(p, w, image, seed);
-                }),
-      std::runtime_error);
-
-  sweep.run(ParallelRunner(1), options, freq_cell);
-  EXPECT_EQ(slurp(options.out_path), reference_bytes());
-  std::remove(path.c_str());
-  std::remove(options.out_path.c_str());
 }
 
 TEST(PrintTransposed, RequiresOneColumnPerPoint) {
