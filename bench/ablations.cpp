@@ -10,10 +10,8 @@
 // All eighteen simulations across the four studies are independent, so
 // they run as one flat runtime::SweepCampaign: each cell names its kernel
 // (assembled once through the runtime AssemblyCache, shared between
-// studies) and its SimJob, the campaign shards across processes
-// (--shard=K/N --out=...) and checkpoints/restarts, and the report is
-// printed from the per-cell slots afterwards — cells owned by another
-// shard print "-" and merge back via the artifact files.
+// studies) and its SimJob, the campaign writes --out like any other, and
+// the report is printed from the per-cell slots afterwards.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -25,22 +23,10 @@ namespace {
 
 using paradet::sim::RunResult;
 
-/// Formats a cell's main-core cycle count, "-" when another shard owns it.
-std::string cycles_or_dash(const RunResult* run) {
-  return run == nullptr
-             ? "-"
-             : std::to_string(
-                   static_cast<unsigned long long>(run->main_done_cycle));
-}
-
-/// Formats the cycle ratio numer/denom, "-" unless this shard owns both.
-std::string ratio_or_dash(const RunResult* numer, const RunResult* denom) {
-  if (numer == nullptr || denom == nullptr) return "-";
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.3f",
-                static_cast<double>(numer->main_done_cycle) /
-                    static_cast<double>(denom->main_done_cycle));
-  return buffer;
+/// The cycle ratio numer/denom, printed by the A2-A4 tables.
+double cycle_ratio(const RunResult& numer, const RunResult& denom) {
+  return static_cast<double>(numer.main_done_cycle) /
+         static_cast<double>(denom.main_done_cycle);
 }
 
 int run(int argc, char** argv) {
@@ -153,7 +139,7 @@ int run(int argc, char** argv) {
                                             std::move(kernels),
                                             /*seed=*/0xAB1A7105);
   const auto result = sweep.run(
-      options.runner(), options.campaign_options(),
+      options.runner(),
       [&](std::size_t index, std::size_t, const runtime::AssemblyCache::Image& image,
           std::uint64_t) {
         const Cell& cell = cells[index];
@@ -169,52 +155,47 @@ int run(int argc, char** argv) {
         }
         return sim::run_job(job, image);
       });
-  const auto cell_result = [&](std::size_t index) {
+  options.write_out(result.artifact);
+  const auto cell_result = [&](std::size_t index) -> const RunResult& {
     return result.cell_at(index);
   };
 
-  const RunResult* a1_with = cell_result(a1_protected);
-  const RunResult* a1_without = cell_result(a1_naive);
   std::printf("[A1] post-LFU load corruption: with LFU detected=%s, "
               "without LFU detected=%s (window of vulnerability)\n",
-              a1_with == nullptr ? "-"
-                                 : (a1_with->error_detected ? "yes" : "NO"),
-              a1_without == nullptr
-                  ? "-"
-                  : (a1_without->error_detected ? "yes" : "no"));
+              cell_result(a1_protected).error_detected ? "yes" : "NO",
+              cell_result(a1_naive).error_detected ? "yes" : "no");
 
   std::printf("[A2] L2 stride prefetcher (baseline cycles, no detection)\n");
   std::printf("     %-14s %12s %12s %8s\n", "benchmark", "on", "off",
               "speedup");
   for (std::size_t k = 0; k < a2_runs.size(); ++k) {
-    const RunResult* run_on = cell_result(a2_runs[k].first);
-    const RunResult* run_off = cell_result(a2_runs[k].second);
-    std::printf("     %-14s %12s %12s %8s\n", a2_kernels[k],
-                cycles_or_dash(run_on).c_str(),
-                cycles_or_dash(run_off).c_str(),
-                ratio_or_dash(run_off, run_on).c_str());
+    const RunResult& run_on = cell_result(a2_runs[k].first);
+    const RunResult& run_off = cell_result(a2_runs[k].second);
+    std::printf("     %-14s %12llu %12llu %8.3f\n", a2_kernels[k],
+                static_cast<unsigned long long>(run_on.main_done_cycle),
+                static_cast<unsigned long long>(run_off.main_done_cycle),
+                cycle_ratio(run_off, run_on));
   }
 
   std::printf("[A3] memory disambiguation (baseline cycles)\n");
   std::printf("     %-14s %12s %14s %8s\n", "benchmark", "store-set",
               "conservative", "cost");
   for (std::size_t k = 0; k < a3_runs.size(); ++k) {
-    const RunResult* run_fast = cell_result(a3_runs[k].first);
-    const RunResult* run_slow = cell_result(a3_runs[k].second);
-    std::printf("     %-14s %12s %14s %8s\n", a3_kernels[k],
-                cycles_or_dash(run_fast).c_str(),
-                cycles_or_dash(run_slow).c_str(),
-                ratio_or_dash(run_slow, run_fast).c_str());
+    const RunResult& run_fast = cell_result(a3_runs[k].first);
+    const RunResult& run_slow = cell_result(a3_runs[k].second);
+    std::printf("     %-14s %12llu %14llu %8.3f\n", a3_kernels[k],
+                static_cast<unsigned long long>(run_fast.main_done_cycle),
+                static_cast<unsigned long long>(run_slow.main_done_cycle),
+                cycle_ratio(run_slow, run_fast));
   }
 
   std::printf("[A4] checkpoint latency sensitivity (checked slowdown, "
               "facesim)\n");
-  const RunResult* a4_base = cell_result(a4_baseline);
+  const RunResult& a4_base = cell_result(a4_baseline);
   for (std::size_t k = 0; k < a4_runs.size(); ++k) {
-    std::printf("     %2u cycles: slowdown %s\n", a4_latencies[k],
-                ratio_or_dash(cell_result(a4_runs[k]), a4_base).c_str());
+    std::printf("     %2u cycles: slowdown %.3f\n", a4_latencies[k],
+                cycle_ratio(cell_result(a4_runs[k]), a4_base));
   }
-  bench::print_shard_note(result.artifact);
   return 0;
 }
 

@@ -5,7 +5,6 @@
 // comments, for EXPERIMENTS.md).
 #pragma once
 
-#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -16,10 +15,10 @@
 #include <vector>
 
 #include "common/config.h"
-#include "common/hash.h"
 #include "runtime/campaign.h"
 #include "runtime/checker_pool.h"
 #include "runtime/parallel_runner.h"
+#include "runtime/serialize.h"
 #include "sim/checked_system.h"
 #include "workloads/workloads.h"
 
@@ -59,15 +58,15 @@ inline bool driver_flag(const char* arg,
 struct Options {
   double scale = 1.0;          ///< workload scale factor (--scale=X).
   std::string only;            ///< run a single benchmark (--benchmark=name).
-  RuntimeOptions runtime;      ///< --jobs/--shard/--out flags.
+  RuntimeOptions runtime;      ///< --jobs/--checker-threads/--out flags.
 
-  /// `campaign` = true for drivers that execute through
-  /// Campaign::run_sharded; others reject --shard/--out (exit 2) rather
-  /// than silently running unsharded. `driver_flags` are
-  /// the flags a driver parses itself, spelled as --help shows them
-  /// (e.g. --fork=on|off): --help lists them, and any argument that is
-  /// neither one of them (matched up to its '=') nor a shared flag exits
-  /// 2, so a misspelled flag cannot silently run the defaults.
+  /// `campaign` = true for drivers that run a runtime::Campaign and write
+  /// it with write_out; others reject --out (exit 2) rather than silently
+  /// writing nothing. `driver_flags` are the flags a driver parses
+  /// itself, spelled as --help shows them (e.g. --fork=on|off): --help
+  /// lists them, and any argument that is neither one of them (matched up
+  /// to its '=') nor a shared flag exits 2, so a misspelled flag cannot
+  /// silently run the defaults. An empty --benchmark= exits 2 too.
   static Options parse(int argc, char** argv, bool campaign = false,
                        std::initializer_list<const char*> driver_flags = {}) {
     Options options;
@@ -77,13 +76,20 @@ struct Options {
       if (std::strncmp(arg, "--scale=", 8) == 0) {
         options.scale = parse_scale(arg);
       } else if (std::strncmp(arg, "--benchmark=", 12) == 0) {
+        // An empty name (an unset shell variable) must not quietly mean
+        // "no filter" and run the whole suite.
+        if (arg[12] == '\0') {
+          std::fprintf(stderr,
+                       "invalid argument '%s': expected a benchmark name\n",
+                       arg);
+          std::exit(2);
+        }
         options.only = arg + 12;
       } else if (std::strcmp(arg, "--help") == 0) {
         std::printf("usage: %s [--scale=X] [--benchmark=name] [--jobs=N]"
                     " [--checker-threads=N]%s",
                     argv[0],
-                    campaign ? "\n          [--shard=K/N] [--out=artifact.json]"
-                             : "");
+                    campaign ? "\n          [--out=artifact.json]" : "");
         if (driver_flags.size() != 0) std::printf("\n         ");
         for (const char* flag : driver_flags) std::printf(" [%s]", flag);
         std::printf("\n");
@@ -113,24 +119,13 @@ struct Options {
                                          runtime.jobs);
   }
 
-  /// Hash (FNV-1a, common/hash.h) of the options that give campaign task
-  /// indices their meaning. Stored in artifacts so a shard file produced
-  /// at a different --scale / --benchmark — same task count, different
-  /// simulations — cannot silently merge.
-  std::uint64_t config_fingerprint() const {
-    Fnv1a64 hash;
-    hash.mix_u64(std::bit_cast<std::uint64_t>(scale));
-    hash.mix_bytes(only);
-    hash.mix_u64(kInstructionBudget);
-    return hash.value();
-  }
-
-  /// Campaign execution options from the shared CLI flags (shard slice,
-  /// artifact output), fingerprinted with this driver configuration.
-  runtime::CampaignRunOptions campaign_options() const {
-    auto options = runtime::CampaignRunOptions::from_runtime(runtime);
-    options.fingerprint = config_fingerprint();
-    return options;
+  /// Writes `artifact` to the --out path, if one was given. Drivers call
+  /// it as soon as the campaign returns, before printing any table, so an
+  /// unwritable path exits 1 (through cli_main) with no table printed.
+  void write_out(const runtime::CampaignArtifact& artifact) const {
+    if (!runtime.out_path.empty()) {
+      runtime::write_artifact_file(runtime.out_path, artifact);
+    }
   }
 };
 
@@ -144,18 +139,6 @@ inline int cli_main(int (*body)(int, char**), int argc, char** argv) {
     std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
     return 1;
   }
-}
-
-/// One-line reminder under sharded tables: the printed rows cover only
-/// this process's slice; files merge back via tools/merge_results.
-inline void print_shard_note(const runtime::CampaignArtifact& artifact) {
-  if (artifact.shard.whole()) return;
-  std::printf(
-      "# shard %llu/%llu: %zu of %llu tasks ran here; merge --out artifacts "
-      "with merge_results for the full campaign\n",
-      static_cast<unsigned long long>(artifact.shard.index),
-      static_cast<unsigned long long>(artifact.shard.count),
-      artifact.runs.size(), static_cast<unsigned long long>(artifact.tasks));
 }
 
 /// The Table II suite at the requested scale, optionally filtered.

@@ -118,15 +118,12 @@ int run(int argc, char** argv) {
     for (auto& slot : warm_pool) slot = std::make_unique<WarmSlot>();
   }
 
-  // Stage 2: the campaign proper. Task index encodes (site, kernel, trial);
-  // under --shard=K/N only this process's slice of that space runs, with
-  // per-task seeds unchanged.
+  // Stage 2: the campaign proper. Task index encodes (site, kernel, trial).
   const std::size_t num_sites = std::size(sites);
   const runtime::Campaign campaign(num_sites * kernels.size() * kTrialsPerCell,
                                    /*seed=*/0xC0FFEE);
-  const auto campaign_options = options.campaign_options();
-  const auto artifact = campaign.run_sharded(
-      runner, campaign_options, [&](std::size_t i, std::uint64_t task_seed) {
+  const auto artifact = campaign.run(
+      runner, [&](std::size_t i, std::uint64_t task_seed) {
         const std::size_t site_index = i / (kernels.size() * kTrialsPerCell);
         const std::size_t kernel_index = (i / kTrialsPerCell) % kernels.size();
         const auto& clean = references[kernel_index].clean;
@@ -164,9 +161,10 @@ int run(int argc, char** argv) {
         full.faults = &faults;
         return sim::run_job(full, *references[kernel_index].assembled);
       });
+  options.write_out(artifact);
 
   // Classification against the clean reference is pure post-processing,
-  // done in task order over whichever records this shard owns. The
+  // done in task order over every record. The
   // verdict compares registers, pc, exit trap *and* the final-memory
   // digest: a store-value strike whose target is never reloaded corrupts
   // only memory, and register comparison alone would count it as masked.
@@ -204,7 +202,6 @@ int run(int argc, char** argv) {
 
   std::printf("\ncontract (zero silent corruptions): %s\n",
               contract_violated ? "VIOLATED" : "HELD");
-  bench::print_shard_note(artifact);
   return contract_violated ? 1 : 0;
 }
 

@@ -2,12 +2,10 @@
 // Paper: average 1.75%, maximum 3.4%; overheads dominated by the register
 // checkpoint pauses at segment boundaries.
 //
-// Runs as a one-point runtime::SweepCampaign: the checked runs — the
-// expensive, shardable part — are the campaign cells, so the figure
-// shards across processes (--shard=K/N --out=...) and checkpoints/
-// restarts like any other campaign. The unchecked baselines are just
-// per-workload normalisation denominators: the sweep layer recomputes
-// them locally for the workloads each shard owns, sharing one immutable
+// Runs as a one-point runtime::SweepCampaign: the checked runs are the
+// campaign cells, written to --out like any other campaign's. The
+// unchecked baselines are just per-workload normalisation denominators,
+// run by the sweep layer outside the artifact, sharing one immutable
 // assembled image per kernel from the runtime AssemblyCache.
 #include <cstdio>
 #include <vector>
@@ -34,36 +32,30 @@ int run(int argc, char** argv) {
                                /*seed=*/0xF160007);
   sweep.enable_baselines(job.config, bench::kInstructionBudget);
   const auto result = sweep.run(
-      options.runner(), options.campaign_options(),
+      options.runner(),
       [&](std::size_t, std::size_t, const runtime::AssemblyCache::Image& image,
           std::uint64_t) { return sim::run_job(job, image); });
+  options.write_out(result.artifact);
 
   std::printf("%-14s %15s %15s %9s %12s %11s\n", "benchmark",
               "baseline_cycles", "checked_cycles", "slowdown", "checkpoints",
               "log_stall_cy");
   double slowdown_sum = 0;
-  std::size_t rows = 0;
   for (std::size_t b = 0; b < result.workload_count; ++b) {
-    const sim::RunResult* checked = result.cell(0, b);
-    if (checked == nullptr) continue;  // cell owned by another shard.
-    const sim::RunResult* baseline = result.baseline(b);
+    const sim::RunResult& checked = result.cell(0, b);
     const double slowdown = result.slowdown(0, b);
     slowdown_sum += slowdown;
-    ++rows;
     std::printf("%-14s %15llu %15llu %9.4f %12llu %11llu\n",
                 result.workload_names[b].c_str(),
-                static_cast<unsigned long long>(baseline->main_done_cycle),
-                static_cast<unsigned long long>(checked->main_done_cycle),
-                slowdown,
-                static_cast<unsigned long long>(checked->checkpoints_taken),
                 static_cast<unsigned long long>(
-                    checked->log_full_stall_cycles));
+                    result.baselines[b].main_done_cycle),
+                static_cast<unsigned long long>(checked.main_done_cycle),
+                slowdown,
+                static_cast<unsigned long long>(checked.checkpoints_taken),
+                static_cast<unsigned long long>(checked.log_full_stall_cycles));
   }
-  if (rows > 0) {
-    std::printf("mean slowdown: %.4f\n",
-                slowdown_sum / static_cast<double>(rows));
-  }
-  bench::print_shard_note(result.artifact);
+  std::printf("mean slowdown: %.4f\n",
+              slowdown_sum / static_cast<double>(result.workload_count));
   return 0;
 }
 

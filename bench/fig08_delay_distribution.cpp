@@ -6,9 +6,8 @@
 //
 // Runs as a one-point runtime::SweepCampaign (one checked run per
 // workload, no baselines — delay statistics need none), so the figure
-// shards across processes and its artifact merges back with
-// merge_results, and each kernel is assembled once through the runtime
-// AssemblyCache.
+// writes --out like any other campaign, and each kernel is assembled once
+// through the runtime AssemblyCache.
 #include <cstdio>
 #include <vector>
 
@@ -32,11 +31,12 @@ int run(int argc, char** argv) {
   runtime::SweepCampaign sweep(1, bench::suite_or_fail(options),
                                /*seed=*/0xF160008);
   const auto result = sweep.run(
-      options.runner(), options.campaign_options(),
+      options.runner(),
       [&](std::size_t, std::size_t, const runtime::AssemblyCache::Image& image,
           std::uint64_t) { return sim::run_job(job, image); });
+  options.write_out(result.artifact);
 
-  // Only this shard's workloads have columns; merge_results reunites them.
+  // One column per workload: with one point, cell index = workload index.
   const auto& artifact = result.artifact;
   std::printf("%-10s", "bin_ns");
   for (const auto& record : artifact.runs) {
@@ -74,11 +74,8 @@ int run(int argc, char** argv) {
                 summary.max() / 1000.0,
                 100.0 * record.result.delay_ns.fraction_below(5000.0));
   }
-  if (!artifact.runs.empty()) {
-    std::printf("suite mean detection delay: %.0f ns\n",
-                suite_mean / static_cast<double>(artifact.runs.size()));
-  }
-  bench::print_shard_note(artifact);
+  std::printf("suite mean detection delay: %.0f ns\n",
+              suite_mean / static_cast<double>(artifact.runs.size()));
   return 0;
 }
 

@@ -5,11 +5,10 @@
 // checker throughput cannot keep up and the main core stalls on log-full.
 //
 // Runs as one runtime::SweepCampaign over (frequency x workload) cells,
-// so the figure shards across processes (--shard=K/N --out=...) and
-// checkpoints/restarts like any other campaign; each workload's unchecked
+// written to --out like any other campaign; each workload's unchecked
 // baseline (the normalisation denominator, independent of the checker
-// frequency) is recomputed locally by every shard that owns one of its
-// cells, and each kernel is assembled exactly once.
+// frequency) runs once outside the artifact, and each kernel is
+// assembled exactly once.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -40,13 +39,14 @@ int run(int argc, char** argv) {
   sweep.enable_baselines(job.config, bench::kInstructionBudget);
 
   const auto result = sweep.run(
-      options.runner(), options.campaign_options(),
+      options.runner(),
       [&](std::size_t point, std::size_t, const runtime::AssemblyCache::Image& image,
           std::uint64_t) {
         sim::SimJob cell = job;
         cell.config.checker.freq_mhz = freqs_mhz[point];
         return sim::run_job(cell, image);
       });
+  options.write_out(result.artifact);
 
   runtime::TableSpec spec;
   for (const auto freq : freqs_mhz) {
@@ -55,7 +55,6 @@ int run(int argc, char** argv) {
   runtime::print_transposed(result, spec, [&](std::size_t p, std::size_t b) {
     return result.slowdown(p, b);
   });
-  bench::print_shard_note(result.artifact);
   return 0;
 }
 

@@ -5,8 +5,8 @@
 // timeout) is negligible.
 //
 // Runs as one runtime::SweepCampaign over (log point x workload) cells
-// with per-workload unchecked baselines, so the figure takes
-// --jobs/--shard/--out/--checkpoint like every other campaign driver.
+// with per-workload unchecked baselines, so the figure takes --jobs and
+// --out like every other campaign driver.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -46,7 +46,7 @@ int run(int argc, char** argv) {
   sweep.enable_baselines(job.config, bench::kInstructionBudget);
 
   const auto result = sweep.run(
-      options.runner(), options.campaign_options(),
+      options.runner(),
       [&](std::size_t point, std::size_t, const runtime::AssemblyCache::Image& image,
           std::uint64_t) {
         sim::SimJob cell = job;
@@ -54,6 +54,7 @@ int run(int argc, char** argv) {
         cell.config.log.instruction_timeout = points[point].timeout;
         return sim::run_job(cell, image);
       });
+  options.write_out(result.artifact);
 
   runtime::TableSpec spec;
   for (const auto& point : points) spec.columns.push_back(point.label);
@@ -62,7 +63,6 @@ int run(int argc, char** argv) {
   runtime::print_transposed(result, spec, [&](std::size_t p, std::size_t b) {
     return result.slowdown(p, b);
   });
-  bench::print_shard_note(result.artifact);
   return 0;
 }
 

@@ -5,9 +5,7 @@
 // less deterministically.
 //
 // Runs as one runtime::SweepCampaign over (frequency x workload) cells.
-// Delay statistics need no baseline, so the unchecked runs the old serial
-// harness also simulated are gone; the sweep shards across processes and
-// its artifact merges back with merge_results.
+// Delay statistics need no baseline, so no unchecked run is simulated.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -35,13 +33,14 @@ int run(int argc, char** argv) {
                                bench::suite_or_fail(options),
                                /*seed=*/0xF160011);
   const auto result = sweep.run(
-      options.runner(), options.campaign_options(),
+      options.runner(),
       [&](std::size_t point, std::size_t, const runtime::AssemblyCache::Image& image,
           std::uint64_t) {
         sim::SimJob cell = job;
         cell.config.checker.freq_mhz = freqs_mhz[point];
         return sim::run_job(cell, image);
       });
+  options.write_out(result.artifact);
 
   runtime::TableSpec spec;
   for (const auto freq : freqs_mhz) {
@@ -52,15 +51,14 @@ int run(int argc, char** argv) {
   std::printf("(a) mean detection delay, ns\n");
   spec.precision = 0;
   runtime::print_transposed(result, spec, [&](std::size_t p, std::size_t b) {
-    return result.cell(p, b)->delay_ns.summary().mean();
+    return result.cell(p, b).delay_ns.summary().mean();
   });
 
   std::printf("\n(b) maximum detection delay, us\n");
   spec.precision = 1;
   runtime::print_transposed(result, spec, [&](std::size_t p, std::size_t b) {
-    return result.cell(p, b)->delay_ns.summary().max() / 1000.0;
+    return result.cell(p, b).delay_ns.summary().max() / 1000.0;
   });
-  bench::print_shard_note(result.artifact);
   return 0;
 }
 

@@ -6,8 +6,8 @@
 // timeout cuts bitcount's max by ~250x at no performance cost.
 //
 // Runs as one runtime::SweepCampaign over (log point x workload) cells;
-// no baselines (delay statistics only), shardable and checkpointable
-// like every other campaign driver.
+// no baselines (delay statistics only), and --out like every other
+// campaign driver.
 #include <cstdio>
 #include <vector>
 
@@ -48,7 +48,7 @@ int run(int argc, char** argv) {
   runtime::SweepCampaign sweep(std::size(points), bench::suite_or_fail(options),
                                /*seed=*/0xF160012);
   const auto result = sweep.run(
-      options.runner(), options.campaign_options(),
+      options.runner(),
       [&](std::size_t point, std::size_t, const runtime::AssemblyCache::Image& image,
           std::uint64_t) {
         sim::SimJob cell = job;
@@ -56,6 +56,7 @@ int run(int argc, char** argv) {
         cell.config.log.instruction_timeout = points[point].timeout;
         return sim::run_job(cell, image);
       });
+  options.write_out(result.artifact);
 
   runtime::TableSpec spec;
   for (const auto& point : points) spec.columns.push_back(point.label);
@@ -65,15 +66,14 @@ int run(int argc, char** argv) {
   std::printf("(a) mean detection delay, ns\n");
   spec.precision = 0;
   runtime::print_transposed(result, spec, [&](std::size_t p, std::size_t b) {
-    return result.cell(p, b)->delay_ns.summary().mean();
+    return result.cell(p, b).delay_ns.summary().mean();
   });
 
   std::printf("\n(b) maximum detection delay, us\n");
   spec.precision = 1;
   runtime::print_transposed(result, spec, [&](std::size_t p, std::size_t b) {
-    return result.cell(p, b)->delay_ns.summary().max() / 1000.0;
+    return result.cell(p, b).delay_ns.summary().max() / 1000.0;
   });
-  bench::print_shard_note(result.artifact);
   return 0;
 }
 

@@ -5,12 +5,10 @@
 // busy -- more segments mean better utilisation.
 //
 // Runs as one runtime::SweepCampaign over (config point x workload)
-// cells: the unchecked baseline is recomputed per shard-touched workload
-// (it does not depend on the checker configuration), every kernel is
-// assembled once through the runtime AssemblyCache, and the sweep shards
-// across processes (--shard=K/N --out=...) and checkpoints/restarts; a
-// shard prints the table cells it owns and merge_results reunites the
-// artifacts.
+// cells: the unchecked baseline runs once per workload (it does not
+// depend on the checker configuration), every kernel is assembled once
+// through the runtime AssemblyCache, and the cells are written to --out
+// like any other campaign's.
 #include <cstdio>
 #include <vector>
 
@@ -47,7 +45,7 @@ int run(int argc, char** argv) {
                                /*seed=*/0xF160013);
   sweep.enable_baselines(job.config, bench::kInstructionBudget);
   const auto result = sweep.run(
-      options.runner(), options.campaign_options(),
+      options.runner(),
       [&](std::size_t point, std::size_t, const runtime::AssemblyCache::Image& image,
           std::uint64_t) {
         sim::SimJob cell = job;
@@ -58,6 +56,7 @@ int run(int argc, char** argv) {
         cell.config.log.segments = points[point].cores;
         return sim::run_job(cell, image);
       });
+  options.write_out(result.artifact);
 
   runtime::TableSpec spec;
   for (const auto& point : points) spec.columns.push_back(point.label);
@@ -65,7 +64,6 @@ int run(int argc, char** argv) {
   runtime::print_transposed(result, spec, [&](std::size_t p, std::size_t b) {
     return result.slowdown(p, b);
   });
-  bench::print_shard_note(result.artifact);
   return 0;
 }
 

@@ -7,9 +7,8 @@
 // detection delay and the area cost of each point; then prints the
 // "cheapest configuration meeting a 2 us mean-delay, 2% slowdown budget".
 // The sweep runs as one runtime::SweepCampaign (one workload, one cell
-// per design point), so it fans out on the worker pool (`--jobs=N`),
-// and shards across processes (`--shard=K/N --out=artifact.json`, merged
-// back with merge_results) exactly like the figure reproductions.
+// per design point), so it fans out on the worker pool (`--jobs=N`) and
+// writes `--out=artifact.json` exactly like the figure reproductions.
 #include <cstdio>
 #include <cstring>
 #include <exception>
@@ -17,6 +16,7 @@
 
 #include "model/area_power.h"
 #include "runtime/checker_pool.h"
+#include "runtime/serialize.h"
 #include "runtime/sweep_campaign.h"
 #include "sim/checked_system.h"
 #include "workloads/workloads.h"
@@ -38,8 +38,8 @@ int run(int argc, char** argv) {
         std::strcmp(argv[i], "-j") == 0) {
       ++i;  // skip the flag's value; RuntimeOptions consumes it.
     } else if (std::strcmp(argv[i], "--help") == 0) {
-      std::printf("usage: %s [--jobs=N] [--checker-threads=N]\n"
-                  "          [--shard=K/N] [--out=artifact.json]\n",
+      std::printf("usage: %s [--jobs=N] [--checker-threads=N]"
+                  " [--out=artifact.json]\n",
                   argv[0]);
       return 0;
     } else if (!runtime_flag(argv[i])) {
@@ -81,9 +81,8 @@ int run(int argc, char** argv) {
   runtime::SweepCampaign sweep(specs.size(), {workload}, /*seed=*/0xDE5160);
   sweep.enable_baselines(SystemConfig::standard(), kBudget);
   const auto result = sweep.run(
-      runner, runtime::CampaignRunOptions::from_runtime(host),
-      [&](std::size_t point, std::size_t, const runtime::AssemblyCache::Image& image,
-          std::uint64_t) {
+      runner, [&](std::size_t point, std::size_t,
+                  const runtime::AssemblyCache::Image& image, std::uint64_t) {
         sim::SimJob job;
         job.config = config_for(point);
         job.mode = sim::SimMode::kChecked;
@@ -91,16 +90,15 @@ int run(int argc, char** argv) {
         job.checker = checker;
         return sim::run_job(job, image);
       });
+  if (!host.out_path.empty()) {
+    runtime::write_artifact_file(host.out_path, result.artifact);
+  }
 
-  const sim::RunResult* baseline = result.baseline(0);
+  const sim::RunResult& baseline = result.baselines[0];
   std::printf("design-space sweep on %s (%u workers)\n",
               workload.name.c_str(), runner.jobs());
-  if (baseline != nullptr) {
-    std::printf("baseline: %llu cycles\n\n",
-                static_cast<unsigned long long>(baseline->main_done_cycle));
-  } else {
-    std::printf("baseline: (no design point on this shard)\n\n");
-  }
+  std::printf("baseline: %llu cycles\n\n",
+              static_cast<unsigned long long>(baseline.main_done_cycle));
 
   struct Point {
     SweepSpec spec;
@@ -108,18 +106,15 @@ int run(int argc, char** argv) {
     double mean_delay_ns = 0.0;
     double max_delay_us = 0.0;
     double area_mm2 = 0.0;
-    bool owned = false;
   };
   std::vector<Point> points(specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     points[i].spec = specs[i];
-    const sim::RunResult* cell = result.cell(i, 0);
-    if (cell == nullptr) continue;  // design point owned by another shard.
-    points[i].owned = true;
-    points[i].slowdown = static_cast<double>(cell->main_done_cycle) /
-                         static_cast<double>(baseline->main_done_cycle);
-    points[i].mean_delay_ns = cell->delay_ns.summary().mean();
-    points[i].max_delay_us = cell->delay_ns.summary().max() / 1000.0;
+    const sim::RunResult& cell = result.cell(i, 0);
+    points[i].slowdown = static_cast<double>(cell.main_done_cycle) /
+                         static_cast<double>(baseline.main_done_cycle);
+    points[i].mean_delay_ns = cell.delay_ns.summary().mean();
+    points[i].max_delay_us = cell.delay_ns.summary().max() / 1000.0;
     points[i].area_mm2 = model::estimate_area(config_for(i)).detection_mm2();
   }
 
@@ -132,13 +127,6 @@ int run(int argc, char** argv) {
       std::printf("-- log size sweep (12 cores @ 1 GHz) --\n");
     }
     const Point& point = points[i];
-    if (!point.owned) {
-      std::printf("%6u %8llu %8llu %9s %12s %11s %9s\n", point.spec.cores,
-                  static_cast<unsigned long long>(point.spec.freq_mhz),
-                  static_cast<unsigned long long>(point.spec.log_bytes / 1024),
-                  "-", "-", "-", "-");
-      continue;
-    }
     std::printf("%6u %8llu %8llu %9.4f %12.0f %11.1f %9.3f\n",
                 point.spec.cores,
                 static_cast<unsigned long long>(point.spec.freq_mhz),
@@ -147,12 +135,9 @@ int run(int argc, char** argv) {
                 point.area_mm2);
   }
 
-  // Pick the cheapest point meeting the latency/overhead budget (among the
-  // points this shard ran; a sharded sweep compares notes via the merged
-  // artifact).
+  // Pick the cheapest point meeting the latency/overhead budget.
   const Point* best = nullptr;
   for (const auto& point : points) {
-    if (!point.owned) continue;
     if (point.slowdown > 1.02 || point.mean_delay_ns > 2000.0) continue;
     if (best == nullptr || point.area_mm2 < best->area_mm2) best = &point;
   }
@@ -166,14 +151,6 @@ int run(int argc, char** argv) {
                 best->area_mm2, best->slowdown, best->mean_delay_ns);
   } else {
     std::printf("\nno swept point met the budget\n");
-  }
-  if (!result.artifact.shard.whole()) {
-    std::printf("shard %llu/%llu: %zu of %llu design points ran here; merge "
-                "--out artifacts with merge_results\n",
-                static_cast<unsigned long long>(result.artifact.shard.index),
-                static_cast<unsigned long long>(result.artifact.shard.count),
-                result.artifact.runs.size(),
-                static_cast<unsigned long long>(result.artifact.tasks));
   }
   return 0;
 }

@@ -18,10 +18,8 @@
 //   * the §IV-I over-detection rate from checker-side faults;
 //   * runtime::Campaign — all strikes run as one parallel batch with
 //     order-independent per-task seeding, so `--jobs=8` reports the exact
-//     numbers `--jobs=1` does, just faster;
-//   * cross-process sharding — `--shard=K/N --out=shard_K.json` runs one
-//     slice of the campaign per machine, and `merge_results` folds the
-//     artifacts back into the byte-identical single-machine output.
+//     numbers `--jobs=1` does, just faster, and `--out=artifact.json`
+//     writes the byte-identical artifact at any --jobs.
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
@@ -36,6 +34,7 @@
 #include "common/stats.h"
 #include "runtime/campaign.h"
 #include "runtime/checker_pool.h"
+#include "runtime/serialize.h"
 #include "sim/checked_system.h"
 #include "workloads/workloads.h"
 
@@ -58,7 +57,7 @@ int run(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--help") == 0) {
       std::printf("usage: %s [trials-per-site] [--jobs=N]"
                   " [--checker-threads=N] [--fork=on|off]\n"
-                  "          [--shard=K/N] [--out=artifact.json]\n",
+                  "          [--out=artifact.json]\n",
                   argv[0]);
       return 0;
     } else if (argv[i][0] == '-') {
@@ -132,14 +131,12 @@ int run(int argc, char** argv) {
   }
 
   // One task per (site, trial); the fault spec is derived from the task's
-  // own seed, never from a shared serially-advanced RNG — so a --shard
-  // slice strikes with exactly the faults the whole campaign would.
+  // own seed, never from a shared serially-advanced RNG — so every strike
+  // is the same at any --jobs.
   const runtime::Campaign campaign(num_sites * trials_per_site,
                                    /*seed=*/0xFA017CA3);
-  const auto campaign_options =
-      runtime::CampaignRunOptions::from_runtime(host_options);
-  const auto artifact = campaign.run_sharded(
-      runner, campaign_options, [&](std::size_t i, std::uint64_t task_seed) {
+  const auto artifact = campaign.run(
+      runner, [&](std::size_t i, std::uint64_t task_seed) {
         const auto& site = sites[i / trials_per_site];
         SplitMix64 rng(task_seed);
         core::FaultInjector faults;
@@ -175,8 +172,11 @@ int run(int argc, char** argv) {
         full.faults = &faults;
         return sim::run_job(full, assembled);
       });
+  if (!host_options.out_path.empty()) {
+    runtime::write_artifact_file(host_options.out_path, artifact);
+  }
 
-  // Classification walks whichever (site, trial) records this shard owns.
+  // Classification walks every (site, trial) record.
   struct SiteTally {
     unsigned trials = 0, detected = 0, masked = 0, silent = 0;
     Summary latency_us;
@@ -218,14 +218,6 @@ int run(int argc, char** argv) {
               static_cast<unsigned long long>(artifact.aggregate.runs),
               static_cast<unsigned long long>(
                   artifact.aggregate.errors_detected));
-  if (!artifact.shard.whole()) {
-    std::printf("shard %llu/%llu: %zu of %llu strikes ran here; merge --out "
-                "artifacts with merge_results\n",
-                static_cast<unsigned long long>(artifact.shard.index),
-                static_cast<unsigned long long>(artifact.shard.count),
-                artifact.runs.size(),
-                static_cast<unsigned long long>(artifact.tasks));
-  }
   std::printf("no-silent-corruption contract: %s\n",
               silent_corruption ? "VIOLATED (bug!)" : "held");
   return silent_corruption ? 1 : 0;

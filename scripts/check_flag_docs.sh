@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
-# Flag-documentation drift check: every CLI flag a binary parses must
-# appear in that binary's --help output. Flags are extracted from the
-# string literals the source actually strcmp/strncmp's against ("--foo",
-# "--foo="), including the shared sets a driver opts into — bench_util.h
-# for bench drivers, the RuntimeOptions campaign flags (src/common/
-# config.cc) for drivers that pass campaign=true. Catches both a new
-# flag nobody documented and a documented flag whose parser was removed
-# only on the parse side (the flag disappears from the extraction, so
-# only parsed-but-undocumented drift can slip through; the reverse is
-# harmless over-documentation).
+# Flag-documentation drift check, both ways, for every bench driver and
+# the two campaign examples:
+#   * every CLI flag a binary parses must appear in its --help output;
+#   * every --flag its --help output lists must be parsed by its sources.
+# Parsed flags are extracted from the string literals the sources actually
+# strcmp/strncmp against ("--foo", "--foo="), including the shared sets a
+# driver opts into: bench_util.h for bench drivers, and the RuntimeOptions
+# flags (src/common/config.cc) for every driver that calls
+# RuntimeOptions::from_args (bench_util.h's Options::parse does). The
+# first check catches a new flag nobody documented; the second a --help
+# that still advertises a flag whose parser is gone.
 #
 # usage: check_flag_docs.sh <build_dir>
 set -euo pipefail
@@ -34,9 +35,12 @@ parsed_flags() {
 check_binary() {
   local bin=$1 exempt=$2
   shift 2
-  local flags flag help
-  flags=$(comm -23 <(parsed_flags "$@") <(sort -u <<<"$exempt"))
-  [[ -z "$flags" ]] && return 0
+  local parsed flags flag help
+  parsed=$(parsed_flags "$@")
+  flags=$(comm -23 <(echo "$parsed") <(sort -u <<<"$exempt"))
+  # A binary that parses no flag and implements no --help would just run
+  # its default workload.
+  [[ -z "$flags" ]] && ! grep -q '"--help"' "$@" && return 0
   if [[ ! -x "$build/$bin" ]]; then
     echo "SKIP: $bin is not built"
     return 0
@@ -48,40 +52,39 @@ check_binary() {
       fail=1
     fi
   done
+  for flag in $(grep -o -- '--[a-z][a-z-]*' <<<"$help" | sort -u); do
+    if ! grep -qxF -- "$flag" <<<"$parsed"; then
+      echo "FAIL: $bin --help lists '$flag' but its sources never parse it"
+      fail=1
+    fi
+  done
 }
+
+config="$repo/src/common/config.cc"
 
 for src in "$repo"/bench/*.cpp; do
   name=$(basename "$src" .cpp)
   sources=("$src")
+  exempt=
   # Only drivers that run the shared parser accept the shared flags
   # (some binaries include bench_util.h just for print_header etc.).
-  grep -q 'Options::parse' "$src" &&
-      sources+=("$repo/bench/bench_util.h")
-  exempt=
-  if grep -q 'campaign=\*/true' "$src"; then
-    # campaign=true drivers accept the RuntimeOptions sharding flags.
-    sources+=("$repo/src/common/config.cc")
-  else
-    # bench_util.h names every RuntimeOptions flag so that it can reject
-    # all other arguments; a campaign=false driver exits 2 on the
-    # sharding ones, so its --help need not list them.
-    exempt=$(parsed_flags "$repo/src/common/config.cc")
+  if grep -q 'Options::parse' "$src"; then
+    sources+=("$repo/bench/bench_util.h" "$config")
+    # A campaign=false driver exits 2 on --out, so its --help need not
+    # list the RuntimeOptions flags.
+    grep -q 'campaign=\*/true' "$src" || exempt=$(parsed_flags "$config")
   fi
   check_binary "bench_$name" "$exempt" "${sources[@]}"
 done
 
-# The campaign examples parse RuntimeOptions campaign flags directly.
+# The campaign examples parse RuntimeOptions flags directly.
 check_binary example_fault_campaign "" "$repo/examples/fault_campaign.cpp" \
-    "$repo/src/common/config.cc"
+    "$config"
 check_binary example_explore_design_space "" \
-    "$repo/examples/explore_design_space.cpp" "$repo/src/common/config.cc"
-
-for src in "$repo"/tools/*.cpp; do
-  check_binary "$(basename "$src" .cpp)" "" "$src"
-done
+    "$repo/examples/explore_design_space.cpp" "$config"
 
 if [[ $fail -ne 0 ]]; then
   echo "flag documentation drifted from the parsers (see FAIL lines)" >&2
   exit 1
 fi
-echo "OK: every parsed flag is documented in its binary's --help"
+echo "OK: every parsed flag is in --help, and every --help flag is parsed"

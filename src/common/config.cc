@@ -58,11 +58,10 @@ RuntimeOptions RuntimeOptions::from_args(int argc, char** argv,
   RuntimeOptions options;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (!campaign_flags && (std::strncmp(arg, "--shard", 7) == 0 ||
-                            std::strncmp(arg, "--out", 5) == 0)) {
+    if (!campaign_flags && std::strncmp(arg, "--out", 5) == 0) {
       std::fprintf(stderr,
-                   "'%s' is not supported by this driver (it does not run as "
-                   "a shardable campaign)\n",
+                   "'%s' is not supported by this driver (it does not run a "
+                   "campaign)\n",
                    arg);
       std::exit(2);
     }
@@ -74,18 +73,6 @@ RuntimeOptions RuntimeOptions::from_args(int argc, char** argv,
       options.jobs = parse_jobs(argv[i], argv[i]);
     } else if (std::strncmp(arg, "-j", 2) == 0 && arg[2] != '\0') {
       options.jobs = parse_jobs(arg, arg + 2);
-    } else if (std::strncmp(arg, "--shard=", 8) == 0) {
-      const char* spec = arg + 8;
-      char* end = nullptr;
-      const unsigned long long k = parse_u64(spec, &end);
-      if (end == spec || *end != '/') bad_flag(arg, "--shard=K/N");
-      const char* n_text = end + 1;
-      const unsigned long long n = parse_u64(n_text, &end);
-      if (end == n_text || *end != '\0' || n == 0 || k >= n) {
-        bad_flag(arg, "--shard=K/N with 0 <= K < N");
-      }
-      options.shard_index = k;
-      options.shard_count = n;
     } else if (std::strncmp(arg, "--out=", 6) == 0) {
       // An empty path (an unset shell variable) must not quietly mean
       // "no artifact".
@@ -100,11 +87,10 @@ RuntimeOptions RuntimeOptions::from_args(int argc, char** argv,
                  "a replay thread count between 0 (inline replay) and 65535");
       }
       options.checker_threads = static_cast<unsigned>(value);
-    } else if (std::strcmp(arg, "--shard") == 0 ||
-               std::strcmp(arg, "--out") == 0 ||
+    } else if (std::strcmp(arg, "--out") == 0 ||
                std::strcmp(arg, "--checker-threads") == 0) {
-      // Only the '=' forms exist; swallowing e.g. `--shard 0/2` would let
-      // the next driver's positional parsing misread "0/2".
+      // Only the '=' forms exist; swallowing e.g. `--checker-threads 4`
+      // would let the next driver's positional parsing misread "4".
       bad_flag(arg, "the --flag=value form");
     }
   }
@@ -112,8 +98,7 @@ RuntimeOptions RuntimeOptions::from_args(int argc, char** argv,
 }
 
 bool runtime_flag(const char* arg) {
-  for (const char* prefix :
-       {"--jobs=", "--checker-threads=", "--shard=", "--out="}) {
+  for (const char* prefix : {"--jobs=", "--checker-threads=", "--out="}) {
     if (std::strncmp(arg, prefix, std::strlen(prefix)) == 0) return true;
   }
   return std::strncmp(arg, "-j", 2) == 0;  // -jN

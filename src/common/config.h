@@ -176,27 +176,18 @@ struct RuntimeOptions {
   /// cannot oversubscribe the host.
   unsigned checker_threads = 0;
 
-  /// Cross-process sharding (`--shard=K/N`): this process executes only
-  /// campaign task indices with `index % shard_count == shard_index`.
-  /// Per-task seeds are a pure function of (campaign seed, index), so the
-  /// shards' random streams are exactly the unsharded campaign's, split.
-  std::uint64_t shard_index = 0;
-  std::uint64_t shard_count = 1;
-
   /// `--out=PATH`: write the campaign artifact (per-run results + merged
-  /// aggregate, versioned JSON) for tools/merge_results.
+  /// aggregate, versioned JSON) to PATH.
   std::string out_path;
 
   /// Scans argv for `--jobs=N` / `--jobs N` / `-jN` / `-j N`,
   /// `--checker-threads=N`, and — when `campaign_flags` is true —
-  /// `--shard=K/N` and `--out=PATH`.
-  /// Drivers that do not execute through Campaign::run_sharded must leave
-  /// `campaign_flags` false: the campaign flags then exit with status 2
-  /// instead of being silently swallowed (a sharding run that quietly
-  /// executes the whole campaign and writes no artifact is worse than an
-  /// error). Malformed values for recognised flags exit with status 2;
-  /// unrelated arguments are ignored, so drivers can layer their own
-  /// parsing on top (see runtime_flag).
+  /// `--out=PATH`. Drivers that do not run a runtime::Campaign must leave
+  /// `campaign_flags` false: `--out` then exits with status 2 instead of
+  /// being silently swallowed (a run that quietly writes no artifact is
+  /// worse than an error). Malformed values for recognised flags exit
+  /// with status 2; unrelated arguments are ignored, so drivers can layer
+  /// their own parsing on top (see runtime_flag).
   static RuntimeOptions from_args(int argc, char** argv,
                                   bool campaign_flags = false);
 };

@@ -1,9 +1,6 @@
-// FNV-1a 64-bit: the repo's hash for short strings. Journal record
-// checksums (runtime/serialize) and driver-configuration fingerprints
-// (bench_util) both travel through the same artifact and checkpoint
-// files, so they must keep hashing identically — one implementation, not
-// per-user copies. Final memory has its own digest, a running XOR of
-// per-word terms that SparseMemory updates on every write
+// FNV-1a 64-bit: the repo's hash for short strings (assembly-cache keys,
+// golden-output pins in the tests). Final memory has its own digest, a
+// running XOR of per-word terms that SparseMemory updates on every write
 // (SparseMemory::digest in arch/memory.h): hashing megabytes byte by byte
 // at the end of every run is too slow.
 #pragma once

@@ -34,18 +34,6 @@ class Summary {
     max_ = std::max(max_, other.max_);
   }
 
-  /// Rebuilds a summary from its exact internal fields (runtime/serialize).
-  /// An empty summary has min = +inf and max = -inf.
-  static Summary from_raw(std::uint64_t count, double sum, double min,
-                          double max) {
-    Summary s;
-    s.count_ = count;
-    s.sum_ = sum;
-    s.min_ = min;
-    s.max_ = max;
-    return s;
-  }
-
  private:
   std::uint64_t count_ = 0;
   double sum_ = 0.0;
@@ -109,17 +97,6 @@ class Histogram {
     }
     overflow_ += other.overflow_;
     summary_.merge(other.summary_);
-  }
-
-  /// Rebuilds a histogram from its exact internal fields (runtime/serialize).
-  static Histogram from_raw(double bin_width, std::vector<std::uint64_t> counts,
-                            std::uint64_t overflow, const Summary& summary) {
-    Histogram h;
-    h.bin_width_ = bin_width;
-    h.counts_ = std::move(counts);
-    h.overflow_ = overflow;
-    h.summary_ = summary;
-    return h;
   }
 
   /// Fraction of samples strictly inside the covered range below x.

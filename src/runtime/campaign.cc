@@ -1,10 +1,8 @@
 #include "runtime/campaign.h"
 
-#include <stdexcept>
 #include <utility>
 
 #include "common/rng.h"
-#include "runtime/serialize.h"
 
 namespace paradet::runtime {
 
@@ -28,59 +26,22 @@ void CampaignAggregate::absorb(const sim::RunResult& result) {
   counters.merge(result.counters);
 }
 
-void CampaignAggregate::merge(const CampaignAggregate& other) {
-  runs += other.runs;
-  errors_detected += other.errors_detected;
-  instructions += other.instructions;
-  segments += other.segments;
-  main_cycles.merge(other.main_cycles);
-  delay_ns.merge(other.delay_ns);
-  counters.merge(other.counters);
-}
-
-CampaignRunOptions CampaignRunOptions::from_runtime(
-    const RuntimeOptions& runtime) {
-  CampaignRunOptions options;
-  options.shard = ShardSpec{runtime.shard_index, runtime.shard_count};
-  options.out_path = runtime.out_path;
-  return options;
-}
-
-CampaignArtifact Campaign::run_sharded(const ParallelRunner& runner,
-                                       const CampaignRunOptions& options,
-                                       const Task& task) const {
-  const ShardSpec shard = options.shard;
-  if (shard.count == 0 || shard.index >= shard.count) {
-    throw std::invalid_argument("ShardSpec: need 0 <= index < count");
-  }
-
-  // This shard's slice of the task space, ascending.
-  std::vector<std::uint64_t> owned;
-  for (std::uint64_t i = shard.index; i < tasks_; i += shard.count) {
-    owned.push_back(i);
-  }
-
-  std::vector<sim::RunResult> results(owned.size());
-  runner.for_each(owned.size(), [&](std::size_t slot) {
-    results[slot] = task(static_cast<std::size_t>(owned[slot]),
-                         task_seed(static_cast<std::size_t>(owned[slot])));
+CampaignArtifact Campaign::run(const ParallelRunner& runner,
+                               const Task& task) const {
+  std::vector<sim::RunResult> results(tasks_);
+  runner.for_each(tasks_, [&](std::size_t index) {
+    results[index] = task(index, task_seed(index));
   });
 
   CampaignArtifact artifact;
   artifact.seed = seed_;
   artifact.tasks = tasks_;
-  artifact.fingerprint = options.fingerprint;
-  artifact.shard = shard;
-  artifact.runs.reserve(owned.size());
-  for (std::size_t slot = 0; slot < owned.size(); ++slot) {
-    artifact.runs.push_back({owned[slot], std::move(results[slot])});
+  artifact.runs.reserve(tasks_);
+  for (std::size_t index = 0; index < tasks_; ++index) {
+    artifact.runs.push_back({index, std::move(results[index])});
   }
   for (const TaskRecord& record : artifact.runs) {
     artifact.aggregate.absorb(record.result);
-  }
-
-  if (!options.out_path.empty()) {
-    write_artifact_file(options.out_path, artifact);
   }
   return artifact;
 }

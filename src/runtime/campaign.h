@@ -16,20 +16,15 @@
 //     to back after the pool joins, so the merged Histogram / Counters /
 //     Summary values are bit-identical across worker counts.
 //
-// Campaigns also scale past one process: a ShardSpec restricts execution
-// to task indices `i % count == index` while keeping per-task seeds (and
-// therefore per-task results) identical to the unsharded campaign's, and
-// run_sharded() can persist its runs as a versioned JSON artifact
-// (runtime/serialize.h) that tools/merge_results folds back — in task
-// order — into the bit-identical single-machine aggregate.
+// A campaign always runs its whole task space in one process. Drivers
+// write the returned CampaignArtifact to their --out path with
+// runtime::write_artifact_file (runtime/serialize.h).
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
-#include "common/config.h"
 #include "common/stats.h"
 #include "runtime/parallel_runner.h"
 #include "sim/checked_system.h"
@@ -55,61 +50,22 @@ struct CampaignAggregate {
   Counters counters;
 
   void absorb(const sim::RunResult& result);
-  void merge(const CampaignAggregate& other);
 };
 
-/// A 1-of-N partition of a campaign's task space: shard K of N owns the
-/// task indices with `task % count == index`. The default 0/1 spec owns
-/// the whole campaign.
-struct ShardSpec {
-  std::uint64_t index = 0;
-  std::uint64_t count = 1;
-
-  bool owns(std::uint64_t task) const { return task % count == index; }
-  bool whole() const { return count == 1; }
-  bool operator==(const ShardSpec&) const = default;
-};
-
-/// One completed task: its global index plus the run's full result.
+/// One completed task: its index plus the run's full result.
 struct TaskRecord {
   std::uint64_t index = 0;
   sim::RunResult result;
 };
 
-/// The persistent/mergeable form of a campaign execution: which slice of
-/// which campaign ran, every completed run (ascending task index), and the
-/// aggregate absorbed over those runs in task index order. Serialized by
-/// runtime/serialize.h; shard outputs and merge_results outputs are both
-/// this one shape.
+/// The result of a campaign: which campaign ran, every run (ascending
+/// task index), and the aggregate absorbed over those runs in task index
+/// order. Serialized by runtime/serialize.h.
 struct CampaignArtifact {
   std::uint64_t seed = 0;
-  std::uint64_t tasks = 0;  ///< whole-campaign task count, not this slice's.
-  /// Caller-supplied hash of the driver configuration that gives task
-  /// indices their meaning (workload scale, suite filter, budget, ...).
-  /// (seed, tasks) alone cannot tell two differently-configured runs of
-  /// the same driver apart; merging across configurations would silently
-  /// mix incompatible results.
-  std::uint64_t fingerprint = 0;
-  ShardSpec shard;
+  std::uint64_t tasks = 0;
   std::vector<TaskRecord> runs;
   CampaignAggregate aggregate;
-};
-
-/// Execution options for Campaign::run_sharded.
-struct CampaignRunOptions {
-  ShardSpec shard;
-
-  /// Configuration fingerprint stored in artifacts and validated when
-  /// merging (see CampaignArtifact::fingerprint). Leave 0 only when the
-  /// driver's configuration is fully determined by (seed, tasks).
-  std::uint64_t fingerprint = 0;
-
-  /// Write the completed artifact here (for tools/merge_results).
-  std::string out_path;
-
-  /// Lifts the host-side CLI flags (--shard/--out) into execution
-  /// options.
-  static CampaignRunOptions from_runtime(const RuntimeOptions& runtime);
 };
 
 /// A batch of `tasks` independent runs, seeded from `seed`.
@@ -127,16 +83,12 @@ class Campaign {
     return derive_task_seed(seed_, index);
   }
 
-  /// Executes task(index, task_seed(index)) for every index this shard
-  /// owns, writing the artifact file named in `options`. `task` must be safe to invoke concurrently from
-  /// multiple threads (each call owns its simulator). The returned
-  /// artifact holds every owned run, and its aggregate is absorbed in
-  /// task-index order after the pool joins, so it is bit-identical at
-  /// every jobs level — and merging all N shards' artifacts reproduces
-  /// the unsharded artifact byte for byte.
-  CampaignArtifact run_sharded(const ParallelRunner& runner,
-                               const CampaignRunOptions& options,
-                               const Task& task) const;
+  /// Executes task(index, task_seed(index)) for every index. `task` must
+  /// be safe to invoke concurrently from multiple threads (each call owns
+  /// its simulator). The returned artifact holds every run, and its
+  /// aggregate is absorbed in task-index order after the pool joins, so it
+  /// is bit-identical at every jobs level.
+  CampaignArtifact run(const ParallelRunner& runner, const Task& task) const;
 
  private:
   std::size_t tasks_;

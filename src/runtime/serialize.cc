@@ -1,6 +1,5 @@
 #include "runtime/serialize.h"
 
-#include <algorithm>
 #include <cerrno>
 #include <charconv>
 #include <cmath>
@@ -8,29 +7,68 @@
 #include <cstring>
 #include <limits>
 #include <stdexcept>
-#include <utility>
-
-#include "runtime/canonical_json.h"
+#include <string_view>
 
 namespace paradet::runtime {
 namespace {
 
-// The canonical-JSON writers and document model live in
-// runtime/canonical_json.{h,cc}.
-using json::append_double;
-using json::append_i64;
-using json::append_string;
-using json::append_u64;
-using json::Json;
-using json::parse;
-using json::read_whole_file;
+// --- Scalar writers --------------------------------------------------------
 
+void append_u64(std::string& out, std::uint64_t v) {
+  out += std::to_string(v);
+}
+
+void append_i64(std::string& out, std::int64_t v) {
+  out += std::to_string(v);
+}
+
+/// Shortest decimal that round-trips to the exact same bits via
+/// from_chars. Non-finite doubles are encoded as the JSON strings "inf" /
+/// "-inf" / "nan".
+void append_double(std::string& out, double v) {
+  if (std::isnan(v)) {
+    out += "\"nan\"";
+    return;
+  }
+  if (std::isinf(v)) {
+    out += v > 0 ? "\"inf\"" : "\"-inf\"";
+    return;
+  }
+  char buf[32];
+  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, static_cast<std::size_t>(ptr - buf));
+}
+
+/// Quoted and escaped (\" \\ and \u00xx for control bytes).
+void append_string(std::string& out, std::string_view s) {
+  out += '"';
+  for (const char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+}
 
 // --- Struct writers --------------------------------------------------------
 
 void append_summary(std::string& out, const Summary& summary) {
-  // min()/max() mask the raw ±inf sentinels when empty; re-materialize
-  // them so from_raw reconstructs the exact internal state.
+  // min()/max() mask the raw ±inf sentinels when empty; write the
+  // sentinels so the encoding shows the exact internal state.
   const bool empty = summary.count() == 0;
   out += "{\"count\":";
   append_u64(out, summary.count());
@@ -197,189 +235,6 @@ void append_aggregate(std::string& out, const CampaignAggregate& aggregate) {
   out += '}';
 }
 
-/// Bitmap over [0, tasks), bit i = run i present; bytes little-first,
-/// bit i stored at byte i/8, position i%8; lowercase hex.
-std::string completed_bitmap_hex(const CampaignArtifact& artifact) {
-  std::vector<unsigned char> bytes((artifact.tasks + 7) / 8, 0);
-  for (const TaskRecord& record : artifact.runs) {
-    bytes[record.index / 8] |=
-        static_cast<unsigned char>(1u << (record.index % 8));
-  }
-  static const char* kHex = "0123456789abcdef";
-  std::string hex;
-  hex.reserve(bytes.size() * 2);
-  for (const unsigned char b : bytes) {
-    hex += kHex[b >> 4];
-    hex += kHex[b & 0xF];
-  }
-  return hex;
-}
-
-// --- Struct readers --------------------------------------------------------
-
-Summary read_summary(const Json& j) {
-  return Summary::from_raw(j.at("count").as_u64(), j.at("sum").as_double(),
-                           j.at("min").as_double(), j.at("max").as_double());
-}
-
-Histogram read_histogram(const Json& j) {
-  std::vector<std::uint64_t> counts;
-  for (const Json& item : j.at("counts").as_array()) {
-    counts.push_back(item.as_u64());
-  }
-  return Histogram::from_raw(j.at("bin_width").as_double(), std::move(counts),
-                             j.at("overflow").as_u64(),
-                             read_summary(j.at("summary")));
-}
-
-Counters read_counters(const Json& j) {
-  Counters counters;
-  for (const Json& entry : j.as_array()) {
-    const auto& pair = entry.as_array();
-    if (pair.size() != 2) {
-      throw std::runtime_error("counter entry must be [name, value]");
-    }
-    counters.inc(pair[0].as_string(), pair[1].as_u64());
-  }
-  return counters;
-}
-
-arch::ArchState read_arch_state(const Json& j) {
-  arch::ArchState state;
-  const auto& x = j.at("x").as_array();
-  const auto& f = j.at("f").as_array();
-  if (x.size() != kNumIntRegs || f.size() != kNumFpRegs) {
-    throw std::runtime_error("ArchState register file has the wrong size");
-  }
-  for (unsigned r = 0; r < kNumIntRegs; ++r) state.x[r] = x[r].as_u64();
-  for (unsigned r = 0; r < kNumFpRegs; ++r) state.f[r] = f[r].as_u64();
-  state.pc = j.at("pc").as_u64();
-  return state;
-}
-
-core::DetectionEvent read_detection_event(const Json& j) {
-  core::DetectionEvent event;
-  event.kind = static_cast<core::DetectionKind>(j.at("kind").as_u64());
-  event.segment_ordinal = j.at("segment_ordinal").as_u64();
-  event.segment_index =
-      static_cast<unsigned>(j.at("segment_index").as_u64());
-  event.around_seq = j.at("around_seq").as_u64();
-  event.pc = j.at("pc").as_u64();
-  event.expected = j.at("expected").as_u64();
-  event.actual = j.at("actual").as_u64();
-  event.reg = static_cast<int>(j.at("reg").as_i64());
-  event.detected_at = j.at("detected_at").as_u64();
-  return event;
-}
-
-core::RegisterCheckpoint read_checkpoint(const Json& j) {
-  core::RegisterCheckpoint checkpoint;
-  checkpoint.state = read_arch_state(j.at("state"));
-  checkpoint.seq = j.at("seq").as_u64();
-  checkpoint.taken_at = j.at("taken_at").as_u64();
-  return checkpoint;
-}
-
-sim::RunResult read_run_result(const Json& j) {
-  sim::RunResult result;
-  result.exit_trap = static_cast<arch::Trap>(j.at("exit_trap").as_u64());
-  result.instructions = j.at("instructions").as_u64();
-  result.uops = j.at("uops").as_u64();
-  result.final_state = read_arch_state(j.at("final_state"));
-  result.main_done_cycle = j.at("main_done_cycle").as_u64();
-  result.all_checked_cycle = j.at("all_checked_cycle").as_u64();
-  result.ipc = j.at("ipc").as_double();
-  result.error_detected = j.at("error_detected").as_bool();
-  const Json& first_error = j.at("first_error");
-  if (first_error.kind != Json::Kind::kNull) {
-    result.first_error = read_detection_event(first_error);
-  }
-  const Json& recovery = j.at("recovery_checkpoint");
-  if (recovery.kind != Json::Kind::kNull) {
-    result.recovery_checkpoint = read_checkpoint(recovery);
-  }
-  result.delay_ns = read_histogram(j.at("delay_ns"));
-  result.segments = j.at("segments").as_u64();
-  result.seals_full = j.at("seals_full").as_u64();
-  result.seals_timeout = j.at("seals_timeout").as_u64();
-  result.seals_interrupt = j.at("seals_interrupt").as_u64();
-  result.seals_drain = j.at("seals_drain").as_u64();
-  result.checkpoints_taken = j.at("checkpoints_taken").as_u64();
-  result.checkpoint_stall_cycles = j.at("checkpoint_stall_cycles").as_u64();
-  result.log_full_stall_cycles = j.at("log_full_stall_cycles").as_u64();
-  result.mem_digest = j.at("mem_digest").as_u64();
-  result.counters = read_counters(j.at("counters"));
-  return result;
-}
-
-CampaignAggregate read_aggregate(const Json& j) {
-  CampaignAggregate aggregate;
-  aggregate.runs = j.at("runs").as_u64();
-  aggregate.errors_detected = j.at("errors_detected").as_u64();
-  aggregate.instructions = j.at("instructions").as_u64();
-  aggregate.segments = j.at("segments").as_u64();
-  aggregate.main_cycles = read_summary(j.at("main_cycles"));
-  aggregate.delay_ns = read_histogram(j.at("delay_ns"));
-  aggregate.counters = read_counters(j.at("counters"));
-  return aggregate;
-}
-
-CampaignArtifact read_artifact(const Json& j) {
-  const Json* format = j.kind == Json::Kind::kObject ? j.find("format")
-                                                     : nullptr;
-  if (format == nullptr || format->kind != Json::Kind::kString ||
-      format->text != kArtifactFormatName) {
-    throw std::runtime_error(
-        "not a paradet campaign artifact (missing or wrong \"format\")");
-  }
-  const std::uint64_t version = j.at("version").as_u64();
-  if (version != kArtifactFormatVersion) {
-    throw std::runtime_error(
-        "unsupported campaign artifact version " + std::to_string(version) +
-        " (this build reads version " +
-        std::to_string(kArtifactFormatVersion) + ")");
-  }
-
-  CampaignArtifact artifact;
-  artifact.seed = j.at("seed").as_u64();
-  artifact.tasks = j.at("tasks").as_u64();
-  artifact.fingerprint = j.at("fingerprint").as_u64();
-  const Json& shard = j.at("shard");
-  artifact.shard.index = shard.at("index").as_u64();
-  artifact.shard.count = shard.at("count").as_u64();
-  if (artifact.shard.count == 0 ||
-      artifact.shard.index >= artifact.shard.count) {
-    throw std::runtime_error("artifact has an invalid shard spec");
-  }
-  artifact.aggregate = read_aggregate(j.at("aggregate"));
-
-  std::uint64_t previous = 0;
-  bool first = true;
-  for (const Json& entry : j.at("runs").as_array()) {
-    TaskRecord record;
-    record.index = entry.at("index").as_u64();
-    if (record.index >= artifact.tasks) {
-      throw std::runtime_error("run record index out of range");
-    }
-    if (!artifact.shard.owns(record.index)) {
-      throw std::runtime_error("run record not owned by the artifact's shard");
-    }
-    if (!first && record.index <= previous) {
-      throw std::runtime_error("run records out of order or duplicated");
-    }
-    first = false;
-    previous = record.index;
-    record.result = read_run_result(entry.at("result"));
-    artifact.runs.push_back(std::move(record));
-  }
-
-  if (j.at("completed").as_string() != completed_bitmap_hex(artifact)) {
-    throw std::runtime_error(
-        "completed-task bitmap does not match the run records");
-  }
-  return artifact;
-}
-
 // --- Files -----------------------------------------------------------------
 
 /// Writes `text` to a temp file in the same directory, then renames it
@@ -449,15 +304,7 @@ std::string to_json(const CampaignArtifact& artifact) {
   append_u64(out, artifact.seed);
   out += ",\"tasks\":";
   append_u64(out, artifact.tasks);
-  out += ",\"fingerprint\":";
-  append_u64(out, artifact.fingerprint);
-  out += ",\"shard\":{\"index\":";
-  append_u64(out, artifact.shard.index);
-  out += ",\"count\":";
-  append_u64(out, artifact.shard.count);
-  out += "},\"completed\":\"";
-  out += completed_bitmap_hex(artifact);
-  out += "\",\"aggregate\":";
+  out += ",\"aggregate\":";
   append_aggregate(out, artifact.aggregate);
   out += ",\"runs\":[";
   bool first = true;
@@ -474,103 +321,11 @@ std::string to_json(const CampaignArtifact& artifact) {
   return out;
 }
 
-// --- Public readers --------------------------------------------------------
-
-Summary summary_from_json(std::string_view text) {
-  return read_summary(parse(text));
-}
-
-Histogram histogram_from_json(std::string_view text) {
-  return read_histogram(parse(text));
-}
-
-Counters counters_from_json(std::string_view text) {
-  return read_counters(parse(text));
-}
-
-sim::RunResult run_result_from_json(std::string_view text) {
-  return read_run_result(parse(text));
-}
-
-CampaignAggregate aggregate_from_json(std::string_view text) {
-  return read_aggregate(parse(text));
-}
-
-CampaignArtifact artifact_from_json(std::string_view text) {
-  return read_artifact(parse(text));
-}
-
 // --- Files -----------------------------------------------------------------
 
 void write_artifact_file(const std::string& path,
                          const CampaignArtifact& artifact) {
   write_file_atomically(path, to_json(artifact));
-}
-
-CampaignArtifact read_artifact_file(const std::string& path) {
-  const std::string text = read_whole_file(path);
-  try {
-    return artifact_from_json(text);
-  } catch (const std::exception& e) {
-    throw std::runtime_error(path + ": " + e.what());
-  }
-}
-
-// --- Merging ---------------------------------------------------------------
-
-CampaignArtifact merge_artifacts(std::vector<CampaignArtifact> shards) {
-  if (shards.empty()) {
-    throw std::runtime_error("merge_artifacts: no shard artifacts given");
-  }
-  CampaignArtifact merged;
-  merged.seed = shards.front().seed;
-  merged.tasks = shards.front().tasks;
-  merged.fingerprint = shards.front().fingerprint;
-  merged.shard = ShardSpec{0, 1};
-  for (const CampaignArtifact& shard : shards) {
-    if (shard.seed != merged.seed || shard.tasks != merged.tasks ||
-        shard.fingerprint != merged.fingerprint) {
-      throw std::runtime_error(
-          "merge_artifacts: shards disagree on campaign seed, task count or "
-          "configuration fingerprint");
-    }
-  }
-
-  merged.runs.reserve(merged.tasks);
-  for (CampaignArtifact& shard : shards) {
-    for (TaskRecord& record : shard.runs) {
-      merged.runs.push_back(std::move(record));
-    }
-  }
-  std::sort(merged.runs.begin(), merged.runs.end(),
-            [](const TaskRecord& a, const TaskRecord& b) {
-              return a.index < b.index;
-            });
-  for (std::size_t i = 0; i < merged.runs.size(); ++i) {
-    if (merged.runs[i].index != i) {
-      if (i > 0 && merged.runs[i].index == merged.runs[i - 1].index) {
-        throw std::runtime_error(
-            "merge_artifacts: task " + std::to_string(merged.runs[i].index) +
-            " appears in more than one shard");
-      }
-      throw std::runtime_error("merge_artifacts: task " + std::to_string(i) +
-                               " is missing from every shard");
-    }
-  }
-  if (merged.runs.size() != merged.tasks) {
-    throw std::runtime_error(
-        "merge_artifacts: " +
-        std::to_string(merged.tasks - merged.runs.size()) +
-        " task(s) missing from every shard");
-  }
-
-  // Re-absorb in task-index order: this is exactly the unsharded
-  // campaign's aggregation order, so the merged aggregate (floating-point
-  // sums included) is bit-identical to the single-machine run's.
-  for (const TaskRecord& record : merged.runs) {
-    merged.aggregate.absorb(record.result);
-  }
-  return merged;
 }
 
 }  // namespace paradet::runtime

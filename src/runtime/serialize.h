@@ -1,20 +1,17 @@
 // Portable, versioned serialization for campaign results.
 //
-// A shard's output file and the merge tool's output are one shape —
-// CampaignArtifact — written as canonical JSON: fixed key order, fixed
-// number formatting (std::to_chars shortest round-trip for doubles, so
-// serialize∘deserialize is the identity down to the last bit), and a
-// format/version header that readers reject loudly when unknown.
-// Canonical bytes are the point: "merging N shard files reproduces the
-// single-machine run" is checked with cmp/==, not with tolerances.
+// A campaign's --out file is one CampaignArtifact written as canonical
+// JSON: fixed key order, fixed number formatting (std::to_chars shortest
+// round-trip for doubles, so std::from_chars recovers every bit), and a
+// format/version header. Canonical bytes are the point: "parallelism
+// never changes bytes" is checked with cmp, not with tolerances. The
+// format is write-only here; nothing in this repository reads it back.
 //
 // Non-finite doubles (an empty Summary's min/max are ±inf) are encoded as
 // the JSON strings "inf" / "-inf" / "nan"; everything else is plain JSON.
 #pragma once
 
 #include <string>
-#include <string_view>
-#include <vector>
 
 #include "common/stats.h"
 #include "runtime/campaign.h"
@@ -26,51 +23,25 @@ inline constexpr const char* kArtifactFormatName = "paradet-campaign";
 /// Version 2: RunResult gained "mem_digest" (final-memory digest, used by
 /// silent-corruption classification). Version 3: "mem_digest" comes from a
 /// new page hash. Version 4: "mem_digest" is a running XOR of per-word
-/// terms (docs/formats.md), so old and new values never compare. Older
-/// artifacts are rejected loudly: a version-1 digest would read back as
-/// zero and a version-2 or version-3 one would match no clean run of this
-/// build, and either would silently misclassify.
-inline constexpr std::uint64_t kArtifactFormatVersion = 4;
-
-// --- Canonical JSON writers ------------------------------------------------
+/// terms (docs/formats.md), so old and new values never compare. Version
+/// 5: the header is format, version, seed and tasks only; the shard
+/// fields, the configuration fingerprint and the completed-task bitmap
+/// are gone, because every campaign runs whole in one process.
+inline constexpr std::uint64_t kArtifactFormatVersion = 5;
 
 std::string to_json(const Summary& summary);
 std::string to_json(const Histogram& histogram);
 std::string to_json(const Counters& counters);
 std::string to_json(const sim::RunResult& result);
 std::string to_json(const CampaignAggregate& aggregate);
-/// The full versioned document (format + version + shard metadata + a
-/// completed-task bitmap + aggregate + per-run records), '\n'-terminated.
+/// The full versioned document (format + version + seed + tasks +
+/// aggregate + one line per run record), '\n'-terminated.
 std::string to_json(const CampaignArtifact& artifact);
 
-// --- Readers (throw std::runtime_error on malformed input) -----------------
-
-Summary summary_from_json(std::string_view text);
-Histogram histogram_from_json(std::string_view text);
-Counters counters_from_json(std::string_view text);
-sim::RunResult run_result_from_json(std::string_view text);
-CampaignAggregate aggregate_from_json(std::string_view text);
-/// Also validates the header (unknown format/version is rejected with a
-/// clear error), the shard spec, run-record ordering/ownership, and that
-/// the completed bitmap matches the run records exactly.
-CampaignArtifact artifact_from_json(std::string_view text);
-
-// --- Files -----------------------------------------------------------------
-
 /// Writes atomically: a temp file in the same directory, then rename, so a
-/// reader (or a crash mid-write) never observes a torn artifact.
+/// reader (or a crash mid-write) never observes a torn artifact. Throws
+/// std::runtime_error when the path cannot be written.
 void write_artifact_file(const std::string& path,
                          const CampaignArtifact& artifact);
-CampaignArtifact read_artifact_file(const std::string& path);
-
-// --- Merging ---------------------------------------------------------------
-
-/// Folds shard artifacts back into the single-machine artifact: validates
-/// that all inputs describe the same campaign (seed, tasks), that their
-/// runs are disjoint and cover every task index, then re-absorbs every run
-/// in task-index order. The result (shard 0/1) serializes to bytes
-/// identical to an unsharded run's artifact. This is the library path
-/// tools/merge_results.cpp drives.
-CampaignArtifact merge_artifacts(std::vector<CampaignArtifact> shards);
 
 }  // namespace paradet::runtime

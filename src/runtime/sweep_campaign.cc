@@ -43,13 +43,7 @@ void SweepCampaign::enable_baselines(const SystemConfig& config,
 }
 
 SweepResult SweepCampaign::run(const ParallelRunner& runner,
-                               const CampaignRunOptions& options,
                                const CellFn& cell) const {
-  const ShardSpec shard = options.shard;
-  if (shard.count == 0 || shard.index >= shard.count) {
-    throw std::invalid_argument("ShardSpec: need 0 <= index < count");
-  }
-
   const std::size_t workload_count = workloads_.size();
   SweepResult result;
   result.points = points_;
@@ -59,46 +53,25 @@ SweepResult SweepCampaign::run(const ParallelRunner& runner,
     result.workload_names.push_back(workload.name);
   }
 
-  // Which workloads this shard touches at all: images and baselines are
-  // only materialised for those.
-  result.workload_touched.assign(workload_count, 0);
-  for (std::size_t c = 0; c < cell_workload_.size(); ++c) {
-    if (shard.owns(c)) result.workload_touched[cell_workload_[c]] = 1;
-  }
-
-  // One immutable image per touched workload via the process-wide cache,
-  // and (when enabled) its paired baseline run — computed before the
-  // campaign so a resumed checkpoint still has its normalisation
-  // denominators. Both fan out on the worker pool; each baseline is a
-  // single deterministic simulation, so scheduling order cannot change
-  // any number.
+  // One immutable image per workload via the process-wide cache, and
+  // (when enabled) its paired baseline run. Both fan out on the worker
+  // pool; each baseline is a single deterministic simulation, so
+  // scheduling order cannot change any number.
   std::vector<AssemblyCache::Image> images(workload_count);
-  result.baselines.assign(workload_count, sim::RunResult{});
-  result.baseline_done.assign(workload_count, 0);
+  if (baselines_) result.baselines.resize(workload_count);
   runner.for_each(workload_count, [&](std::size_t w) {
-    if (!result.workload_touched[w]) return;
     images[w] = AssemblyCache::instance().get(workloads_[w]);
-    if (baselines_) {
-      result.baselines[w] = sim::run_job(baseline_, images[w]);
-      result.baseline_done[w] = 1;
-    }
+    if (baselines_) result.baselines[w] = sim::run_job(baseline_, images[w]);
   });
 
   // The campaign proper; the per-cell slots (and any table printed from
   // them) read its records.
   const Campaign campaign(cell_workload_.size(), seed_);
-  result.artifact = campaign.run_sharded(
-      runner, options, [&](std::size_t i, std::uint64_t task_seed) {
+  result.artifact =
+      campaign.run(runner, [&](std::size_t i, std::uint64_t task_seed) {
         const std::size_t w = cell_workload_[i];
         return cell(point_of(i), w, images[w], task_seed);
       });
-
-  result.record_of_cell.assign(cell_workload_.size(), -1);
-  for (std::size_t record = 0; record < result.artifact.runs.size();
-       ++record) {
-    result.record_of_cell[result.artifact.runs[record].index] =
-        static_cast<std::ptrdiff_t>(record);
-  }
   return result;
 }
 
@@ -121,11 +94,7 @@ void print_transposed(
   for (std::size_t w = 0; w < result.workload_count; ++w) {
     std::printf("%-*s", kLabelWidth, result.workload_names[w].c_str());
     for (std::size_t p = 0; p < result.points; ++p) {
-      if (result.cell(p, w) == nullptr) {
-        std::printf(" %*s", spec.width, "-");  // cell owned by another shard.
-      } else {
-        std::printf(" %*.*f", spec.width, spec.precision, value(p, w));
-      }
+      std::printf(" %*.*f", spec.width, spec.precision, value(p, w));
     }
     std::printf("\n");
   }
@@ -134,18 +103,9 @@ void print_transposed(
   std::printf("%-*s", kLabelWidth, "mean");
   for (std::size_t p = 0; p < result.points; ++p) {
     double sum = 0;
-    unsigned cells = 0;
-    for (std::size_t w = 0; w < result.workload_count; ++w) {
-      if (result.cell(p, w) == nullptr) continue;
-      sum += value(p, w);
-      ++cells;
-    }
-    if (cells == 0) {
-      std::printf(" %*s", spec.width, "-");
-    } else {
-      std::printf(" %*.*f", spec.width, spec.precision,
-                  sum / static_cast<double>(cells));
-    }
+    for (std::size_t w = 0; w < result.workload_count; ++w) sum += value(p, w);
+    std::printf(" %*.*f", spec.width, spec.precision,
+                sum / static_cast<double>(result.workload_count));
   }
   std::printf("\n");
 }

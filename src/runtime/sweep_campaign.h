@@ -9,25 +9,20 @@
 // fixes one canonical shape for all of them:
 //
 //   * Task indexing. A grid sweep's cell (point p, workload w) is
-//     campaign task p * |workloads| + w — stable across --jobs and
-//     --shard, so a sweep inherits Campaign's whole distributed story:
-//     any cell subset can run in any process, artifacts merge back with
-//     tools/merge_results into the byte-identical unsharded file, and
-//     checkpoints resume. A flat sweep (heterogeneous task lists like the
-//     ablation studies) instead names a workload per cell explicitly.
-//   * Workload assembly. Each workload this shard touches is assembled
-//     exactly once through the process-wide runtime::AssemblyCache and
-//     the immutable image is shared by every cell and the baseline — no
-//     driver assembles the same kernel twice.
+//     campaign task p * |workloads| + w, so cell seeds and the artifact's
+//     record order are stable across --jobs. A flat sweep (heterogeneous
+//     task lists like the ablation studies) instead names a workload per
+//     cell explicitly.
+//   * Workload assembly. Each workload is assembled exactly once through
+//     the process-wide runtime::AssemblyCache and the immutable image is
+//     shared by every cell and the baseline — no driver assembles the
+//     same kernel twice.
 //   * Paired baselines. Slowdown figures normalise each workload against
 //     an unchecked run that is independent of the sweep point. The
-//     baseline is therefore *not* a campaign task (it would collide with
-//     the shard modulus): every shard recomputes it locally, and only for
-//     workloads with at least one owned cell.
-//   * Per-cell result slots. The result indexes this shard's records by
-//     cell, with null for cells other shards own, and a transposed-table
-//     formatter prints benchmark rows × point columns with "-" for the
-//     missing cells.
+//     baseline is therefore not a campaign task: it is one run per
+//     workload, outside the artifact.
+//   * Per-cell result slots, and a transposed-table formatter that prints
+//     benchmark rows × point columns.
 #pragma once
 
 #include <cstddef>
@@ -46,47 +41,33 @@
 namespace paradet::runtime {
 
 /// Result of a sweep: the underlying campaign artifact plus cell-indexed
-/// access to this shard's records and the per-workload baselines.
+/// access to its records and the per-workload baselines.
 struct SweepResult {
   std::size_t points = 0;
   std::size_t workload_count = 0;
   std::vector<std::string> workload_names;
 
-  /// The flat campaign's artifact (runs kept; also what --out/--checkpoint
-  /// persisted).
+  /// The flat campaign's artifact: one record per cell, in cell order
+  /// (what --out writes).
   CampaignArtifact artifact;
 
-  /// cell index -> position in artifact.runs, or -1 when another shard
-  /// owns the cell.
-  std::vector<std::ptrdiff_t> record_of_cell;
-
-  /// Per-workload paired baseline runs; valid only where baseline_done.
+  /// Per-workload paired baseline runs; empty unless baselines are
+  /// enabled.
   std::vector<sim::RunResult> baselines;
-  std::vector<char> baseline_done;
-  /// Workloads with at least one cell owned by this shard.
-  std::vector<char> workload_touched;
 
-  /// This shard's record for a flat cell index, or null if another shard
-  /// owns it.
-  const sim::RunResult* cell_at(std::size_t index) const {
-    const std::ptrdiff_t record = record_of_cell[index];
-    return record < 0 ? nullptr : &artifact.runs[record].result;
+  /// The record of a flat cell index.
+  const sim::RunResult& cell_at(std::size_t index) const {
+    return artifact.runs[index].result;
   }
 
   /// Grid accessor: the cell of (point, workload).
-  const sim::RunResult* cell(std::size_t point, std::size_t workload) const {
+  const sim::RunResult& cell(std::size_t point, std::size_t workload) const {
     return cell_at(point * workload_count + workload);
   }
 
-  /// The workload's paired baseline, or null when this shard owns none of
-  /// its cells (or the sweep ran without baselines).
-  const sim::RunResult* baseline(std::size_t workload) const {
-    return baseline_done[workload] ? &baselines[workload] : nullptr;
-  }
-
-  /// Checked-over-baseline cycle ratio for an owned grid cell.
+  /// Checked-over-baseline cycle ratio for a grid cell.
   double slowdown(std::size_t point, std::size_t workload) const {
-    return static_cast<double>(cell(point, workload)->main_done_cycle) /
+    return static_cast<double>(cell(point, workload).main_done_cycle) /
            static_cast<double>(baselines[workload].main_done_cycle);
   }
 };
@@ -111,7 +92,7 @@ class SweepCampaign {
   /// Flat sweep: one cell per entry of `cell_workloads`, each naming its
   /// workload by index into `workloads`; `point` passed to the cell
   /// function is the cell index itself. For heterogeneous task lists
-  /// (e.g. ablation studies) that still want campaign sharding and shared
+  /// (e.g. ablation studies) that still want one campaign and shared
   /// assembly.
   static SweepCampaign flat(std::vector<std::size_t> cell_workloads,
                             std::vector<workloads::Workload> workloads,
@@ -119,20 +100,16 @@ class SweepCampaign {
 
   /// Pairs every workload with one unchecked run (SimMode::kBaseline) of
   /// `config`, budget `max_instructions`, computed outside the campaign
-  /// task space by every shard that touches the workload.
+  /// task space.
   void enable_baselines(const SystemConfig& config,
                         std::uint64_t max_instructions);
 
   std::size_t tasks() const { return cell_workload_.size(); }
   std::uint64_t seed() const { return seed_; }
 
-  /// Executes this shard's cells on `runner` (assembling each touched
-  /// workload once via AssemblyCache::instance(), then baselines, then the
-  /// campaign proper). Artifact/checkpoint files named in `options` behave
-  /// exactly as in Campaign::run_sharded: merged shard artifacts are
-  /// byte-identical to the unsharded run's.
-  SweepResult run(const ParallelRunner& runner,
-                  const CampaignRunOptions& options, const CellFn& cell) const;
+  /// Executes every cell on `runner` (assembling each workload once via
+  /// AssemblyCache::instance(), then baselines, then the campaign proper).
+  SweepResult run(const ParallelRunner& runner, const CellFn& cell) const;
 
  private:
   SweepCampaign() = default;
@@ -156,13 +133,11 @@ struct TableSpec {
   std::vector<std::string> columns;
   int width = 10;      ///< numeric column width.
   int precision = 3;
-  bool mean_row = true;  ///< append a per-point mean over owned cells.
+  bool mean_row = true;  ///< append a per-point mean over the workloads.
 };
 
 /// Prints a grid sweep benchmark-major: one row per workload, one column
-/// per point. `value(point, workload)` is invoked only for cells this
-/// shard owns; other cells print "-" and merge back via the artifact
-/// files, not stdout.
+/// per point, with `value(point, workload)` in each cell.
 void print_transposed(
     const SweepResult& result, const TableSpec& spec,
     const std::function<double(std::size_t point, std::size_t workload)>&

@@ -118,13 +118,13 @@ TEST(AssemblyCache, SweepOverThreeConfigPointsDoesZeroReassembly) {
   AssemblyCache& cache = AssemblyCache::instance();
   const std::uint64_t before = cache.assemblies();
   const SweepCampaign sweep(3, suite, /*seed=*/0x5EED);
-  sweep.run(ParallelRunner(8), CampaignRunOptions{}, record_cells);
+  sweep.run(ParallelRunner(8), record_cells);
   EXPECT_EQ(cache.assemblies() - before, suite.size());
   // 6 cells, but only one image object per workload.
   EXPECT_EQ(images_seen.size(), suite.size());
 
   // The identical sweep again: every image is already cached.
-  sweep.run(ParallelRunner(8), CampaignRunOptions{}, record_cells);
+  sweep.run(ParallelRunner(8), record_cells);
   EXPECT_EQ(cache.assemblies() - before, suite.size());
   EXPECT_EQ(images_seen.size(), suite.size());
 }

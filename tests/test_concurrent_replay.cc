@@ -106,9 +106,8 @@ TEST(ConcurrentReplay, WorkloadSweepInvariantAcrossThreadsAndJobs) {
     runtime::ParallelRunner runner(jobs);
     runtime::SweepCampaign sweep(2, {workload}, /*seed=*/0xC0);
     const auto swept = sweep.run(
-        runner, runtime::CampaignRunOptions{},
-        [&](std::size_t point, std::size_t, const runtime::AssemblyCache::Image& image,
-            std::uint64_t) {
+        runner, [&](std::size_t point, std::size_t,
+                    const runtime::AssemblyCache::Image& image, std::uint64_t) {
           sim::SimJob job = checked_job(threads);
           job.config.checker.freq_mhz = point == 0 ? 500 : 1000;
           job.max_instructions = kBudget;
@@ -116,7 +115,7 @@ TEST(ConcurrentReplay, WorkloadSweepInvariantAcrossThreadsAndJobs) {
         });
     std::string bytes;
     for (std::size_t p = 0; p < 2; ++p) {
-      bytes += runtime::to_json(*swept.cell(p, 0));
+      bytes += runtime::to_json(swept.cell(p, 0));
       bytes += '\n';
     }
     return bytes;

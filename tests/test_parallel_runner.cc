@@ -1,7 +1,7 @@
 // Tests for the runtime subsystem: worker-pool mechanics, order-independent
-// per-task seeding, and the headline determinism contract — a parallel
+// per-task seeding, the headline determinism contract — a parallel
 // fault-injection campaign merges to bit-identical statistics at any
-// --jobs level.
+// --jobs level — and the --jobs/--out CLI parsing campaign drivers share.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,8 +11,10 @@
 #include <cstdint>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "common/config.h"
 #include "common/rng.h"
 #include "runtime/campaign.h"
 #include "runtime/parallel_runner.h"
@@ -87,10 +89,9 @@ TEST(TaskSeeds, DistinctAcrossIndicesAndCampaigns) {
   EXPECT_EQ(seen.size(), 4u * 512u);
 }
 
-// Cross-shard independence: shard K of N draws the subsequence of task
-// seeds with index ≡ K (mod N), so the derivation must behave like a
-// random function of the index — no collisions over a large range, and
-// no structure between adjacent indices that a modulus could expose.
+// Independence across tasks: the derivation must behave like a random
+// function of the index — no collisions over a large range, and no
+// structure between adjacent indices.
 
 TEST(TaskSeeds, NoCollisionsAcrossAHundredThousandIndices) {
   constexpr std::uint64_t kIndices = 100'000;
@@ -133,31 +134,6 @@ TEST(TaskSeeds, AdjacentIndicesAvalancheEveryOutputBit) {
   }
 }
 
-TEST(CampaignAggregate, MergeMatchesSequentialAbsorb) {
-  sim::RunResult a, b;
-  a.instructions = 100;
-  a.main_done_cycle = 50;
-  a.error_detected = true;
-  a.counters.inc("x", 2);
-  b.instructions = 200;
-  b.main_done_cycle = 70;
-  b.counters.inc("x", 3);
-  b.counters.inc("y", 1);
-
-  CampaignAggregate whole, left, right;
-  whole.absorb(a);
-  whole.absorb(b);
-  left.absorb(a);
-  right.absorb(b);
-  left.merge(right);
-
-  EXPECT_EQ(whole.runs, left.runs);
-  EXPECT_EQ(whole.errors_detected, left.errors_detected);
-  EXPECT_EQ(whole.instructions, left.instructions);
-  EXPECT_EQ(whole.main_cycles.sum(), left.main_cycles.sum());
-  EXPECT_EQ(whole.counters.sorted(), left.counters.sorted());
-}
-
 /// The acceptance campaign: 64 random transient strikes on a small kernel,
 /// every run kept. Every task derives its fault spec purely from its task
 /// seed.
@@ -173,9 +149,8 @@ CampaignArtifact run_fault_campaign(unsigned jobs) {
 
   const Campaign campaign(/*tasks=*/64, /*seed=*/0x5EEDFULL);
   const ParallelRunner runner(jobs);
-  CampaignRunOptions options;
-  return campaign.run_sharded(
-      runner, options, [&](std::size_t, std::uint64_t task_seed) {
+  return campaign.run(
+      runner, [&](std::size_t, std::uint64_t task_seed) {
         SplitMix64 rng(task_seed);
         const core::FaultSite site_pool[] = {
             core::FaultSite::kMainArchReg,
@@ -240,6 +215,69 @@ TEST(Campaign, MergedStatsBitIdenticalAcrossJobLevels) {
   // The campaign actually exercised the detection hardware.
   EXPECT_GT(a.errors_detected, 0u);
   EXPECT_GT(a.delay_ns.summary().count(), 0u);
+}
+
+// --- CLI flag parsing ------------------------------------------------------
+
+RuntimeOptions parse_args(std::vector<std::string> args,
+                          bool campaign_flags = true) {
+  args.insert(args.begin(), "test-binary");
+  std::vector<char*> argv;
+  argv.reserve(args.size());
+  for (std::string& arg : args) argv.push_back(arg.data());
+  return RuntimeOptions::from_args(static_cast<int>(argv.size()),
+                                   argv.data(), campaign_flags);
+}
+
+TEST(RuntimeOptionsFlags, ParsesJobsAndOut) {
+  const RuntimeOptions options =
+      parse_args({"--jobs=4", "--out=s2.json", "positional", "--unrelated=x"});
+  EXPECT_EQ(options.jobs, 4u);
+  EXPECT_EQ(options.out_path, "s2.json");
+}
+
+TEST(RuntimeOptionsFlags, RuntimeFlagClaimsOnlyTheParsedForms) {
+  // Drivers exit 2 on a `-` argument runtime_flag does not claim, so it
+  // must claim exactly what from_args parses.
+  EXPECT_TRUE(runtime_flag("--jobs=2"));
+  EXPECT_TRUE(runtime_flag("-j2"));
+  EXPECT_TRUE(runtime_flag("--checker-threads=4"));
+  EXPECT_TRUE(runtime_flag("--out=a.json"));
+  EXPECT_FALSE(runtime_flag("--shard=0/2"));
+  EXPECT_FALSE(runtime_flag("--checkpoint=ck.json"));
+  EXPECT_FALSE(runtime_flag("--bogus=1"));
+}
+
+TEST(RuntimeOptionsFlags, DefaultsWriteNoArtifact) {
+  EXPECT_TRUE(parse_args({}).out_path.empty());
+}
+
+TEST(RuntimeOptionsFlagsDeathTest, MalformedFlagsExit) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  // Only the '=' forms exist; the space form must fail loudly rather than
+  // leak the path into a driver's positional arguments.
+  EXPECT_EXIT(parse_args({"--out"}), testing::ExitedWithCode(2),
+              "invalid argument");
+  // An empty path (an unset shell variable) must not silently drop the
+  // artifact.
+  EXPECT_EXIT(parse_args({"--out="}), testing::ExitedWithCode(2),
+              "invalid argument");
+  // A trailing --jobs with its value forgotten must not silently mean
+  // "all cores".
+  EXPECT_EXIT(parse_args({"--jobs"}), testing::ExitedWithCode(2),
+              "invalid argument");
+  EXPECT_EXIT(parse_args({"--jobs=-1"}), testing::ExitedWithCode(2),
+              "invalid argument");
+}
+
+TEST(RuntimeOptionsFlagsDeathTest, NonCampaignDriversRejectOut) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  // A driver that runs no campaign must refuse --out rather than silently
+  // write no artifact.
+  EXPECT_EXIT(parse_args({"--out=x.json"}, /*campaign_flags=*/false),
+              testing::ExitedWithCode(2), "not supported by this driver");
+  // --jobs stays available everywhere.
+  EXPECT_EQ(parse_args({"--jobs=3"}, /*campaign_flags=*/false).jobs, 3u);
 }
 
 }  // namespace

@@ -268,10 +268,9 @@ std::string mini_campaign_artifact(const isa::Assembled& assembled,
   const FaultSite sites[] = {FaultSite::kMainStoreValue,
                              FaultSite::kMainArchReg};
   const runtime::Campaign campaign(/*tasks=*/8, /*seed=*/0xBEEF);
-  runtime::CampaignRunOptions options;
   const runtime::ParallelRunner runner(jobs);
-  const auto artifact = campaign.run_sharded(
-      runner, options, [&](std::size_t i, std::uint64_t task_seed) {
+  const auto artifact = campaign.run(
+      runner, [&](std::size_t i, std::uint64_t task_seed) {
         FaultInjector faults;
         FaultSpec spec;
         spec.site = sites[i % 2];
